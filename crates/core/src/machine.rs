@@ -18,7 +18,7 @@ use std::collections::VecDeque;
 use std::time::Instant;
 
 use crate::sharers::SharerMap;
-use desim::{EventQueue, Owned, PartitionedQueue, PdesStats, Sched, Time};
+use desim::{EventQueue, Time};
 use memsys::{Addr, AddressMap, PushOutcome, ReadOutcome};
 use netcache_apps::{MacroOp, Nest, Op, OpStream, Slot, Workload};
 
@@ -78,11 +78,9 @@ enum Stall {
     Sync,
 }
 
-/// The engine's event vocabulary. Public only because it names the
-/// event type in [`Machine`]'s queue parameter (`Q: Sched<Event>`);
-/// events are scheduled and consumed exclusively by the engine itself.
+/// The engine's event vocabulary.
 #[derive(Debug, Clone, Copy)]
-pub enum Event {
+enum Event {
     /// Continue executing a processor.
     Resume(usize),
     /// A write-buffer retirement was acknowledged.
@@ -92,24 +90,13 @@ pub enum Event {
     WbKick(usize),
 }
 
-/// Every event belongs to one processor, so the partitioned queue can
-/// shard the future-event list by processor block.
-impl Owned for Event {
-    #[inline]
-    fn owner(&self) -> usize {
-        match *self {
-            Event::Resume(p) | Event::WbAck(p) | Event::WbKick(p) => p,
-        }
-    }
-}
-
 /// The per-processor elision context: disjoint borrows of everything the
 /// elided fast path mutates, split out of [`Machine`] so the op stream
 /// can be walked while ops are applied.
-struct ElideEnv<'a, Q> {
+struct ElideEnv<'a> {
     node: &'a mut Node,
     st: &'a mut NodeStats,
-    queue: &'a mut Q,
+    queue: &'a mut EventQueue<Event>,
     kick_pending: &'a mut bool,
     map: &'a AddressMap,
     l2_lat: Time,
@@ -123,7 +110,7 @@ struct ElideEnv<'a, Q> {
     seg_bytes: u64,
 }
 
-impl<Q: Sched<Event>> ElideEnv<'_, Q> {
+impl ElideEnv<'_> {
     /// Applies one scalar op exactly as the general path would, for the
     /// elision-safe classes. Returns `false` — with *nothing* mutated —
     /// when the op must go to the general path instead: a sync op, a
@@ -258,21 +245,12 @@ impl<Q: Sched<Event>> ElideEnv<'_, Q> {
 pub struct EngineScratch {
     /// A reset queue from a completed run, warm capacity intact.
     queue: Option<EventQueue<Event>>,
-    /// A reset partitioned queue from a completed PDES run; lane
-    /// allocations are reused when the partition count matches.
-    pqueue: Option<PartitionedQueue<Event>>,
 }
 
 impl EngineScratch {
     /// An empty scratch: the first run allocates, later runs reuse.
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// Merge-layer statistics of the last completed PDES run through
-    /// this scratch (`None` until a partitioned run has finished).
-    pub fn pdes_stats(&self) -> Option<PdesStats> {
-        self.pqueue.as_ref().map(|q| q.last_run_stats())
     }
 }
 
@@ -282,11 +260,11 @@ impl EngineScratch {
 /// (`Machine<Box<dyn Protocol>>`, what [`Machine::new`] and friends
 /// build) picks the protocol at run time; [`run_streams`] instantiates
 /// the machine at each concrete protocol type so the event loop and the
-/// retirement chain monomorphize — no virtual dispatch per event.
-pub struct Machine<P: Protocol = Box<dyn Protocol>, Q: Sched<Event> = EventQueue<Event>> {
+/// write-buffer retirement monomorphize — no virtual dispatch per event.
+pub struct Machine<P: Protocol = Box<dyn Protocol>> {
     cfg: SysConfig,
     map: AddressMap,
-    queue: Q,
+    queue: EventQueue<Event>,
     procs: Vec<Proc>,
     nodes: Vec<Node>,
     proto: P,
@@ -307,14 +285,6 @@ pub struct Machine<P: Protocol = Box<dyn Protocol>, Q: Sched<Event> = EventQueue
     elided: u64,
     /// Which nodes ever filled each block (exact-negative update filter).
     sharers: SharerMap,
-    /// Events whose pop the drain chain proved redundant and elided
-    /// (see [`Machine::retire_chain`]); added back into the report's
-    /// `events` so the count stays schedule-equivalent (digests hash it).
-    synthetic_events: u64,
-    /// Coalesce write-buffer drains: retire a contiguous buffer span
-    /// inside one event where provably equivalent. Disabled by
-    /// [`Machine::per_event_drain`] for differential testing.
-    batch_drain: bool,
 }
 
 impl Machine<Box<dyn Protocol>> {
@@ -381,79 +351,16 @@ impl Machine<Box<dyn Protocol>> {
 }
 
 impl<P: Protocol> Machine<P> {
-    /// The serial constructor: [`Machine::with_queue`] around an
-    /// [`EventQueue`], reusing one parked in `scratch` when available.
+    /// The shared constructor: builds a machine around `build`'s protocol
+    /// value, reusing the event queue parked in `scratch` when available.
+    /// The protocol type is whatever `build` returns — a concrete
+    /// protocol for the monomorphized entry points, `Box<dyn Protocol>`
+    /// for the run-time-dispatch ones.
     fn with_proto(
         cfg: &SysConfig,
         streams: Vec<OpStream>,
         build: impl FnOnce(&SysConfig, AddressMap) -> P,
         scratch: &mut EngineScratch,
-    ) -> Self {
-        // Far-future events are rare (one run-ahead wakeup per processor
-        // slice), so a small per-processor overflow reservation suffices.
-        let queue = scratch
-            .queue
-            .take()
-            .unwrap_or_else(|| EventQueue::with_capacity(4 * streams.len()));
-        Self::with_queue(cfg, streams, build, queue)
-    }
-
-    /// Runs to completion, parking the reusable allocations in `scratch`
-    /// for the caller's next [`Machine::with_scratch`].
-    pub fn run_reusing(self, scratch: &mut EngineScratch) -> RunReport {
-        let (report, queue) = self.run_inner();
-        scratch.queue = Some(queue);
-        report
-    }
-}
-
-impl<P: Protocol> Machine<P, PartitionedQueue<Event>> {
-    /// The partitioned (PDES) constructor: one event-wheel lane per
-    /// partition, processors mapped to lanes in contiguous blocks, the
-    /// fabric's `lookahead` recorded for cross-partition slack tracking.
-    /// Reuses a parked partitioned queue from `scratch` when available.
-    pub(crate) fn with_pdes(
-        cfg: &SysConfig,
-        streams: Vec<OpStream>,
-        build: impl FnOnce(&SysConfig, AddressMap) -> P,
-        parts: usize,
-        lookahead: Time,
-        scratch: &mut EngineScratch,
-    ) -> Self {
-        let n = streams.len();
-        let queue = match scratch.pqueue.take() {
-            Some(mut q) => {
-                q.reconfigure(parts, n, lookahead);
-                q
-            }
-            None => PartitionedQueue::new(parts, n, lookahead),
-        };
-        Self::with_queue(cfg, streams, build, queue)
-    }
-
-    /// Runs to completion, parking the partitioned queue in `scratch`
-    /// for the caller's next [`Machine::with_pdes`].
-    pub(crate) fn run_reusing_pdes(self, scratch: &mut EngineScratch) -> RunReport {
-        let (report, queue) = self.run_inner();
-        scratch.pqueue = Some(queue);
-        report
-    }
-}
-
-impl<P: Protocol, Q: Sched<Event>> Machine<P, Q> {
-    /// The shared constructor: builds a machine around `build`'s protocol
-    /// value and the caller's event queue. The protocol type is whatever
-    /// `build` returns — a concrete protocol for the monomorphized entry
-    /// points, `Box<dyn Protocol>` for the run-time-dispatch ones. The
-    /// queue type is the second axis: the serial [`EventQueue`] or the
-    /// partitioned [`PartitionedQueue`], which deliver the identical
-    /// global `(time, seq)` event order (see `desim::pqueue`), so every
-    /// handler below is oblivious to the choice.
-    fn with_queue(
-        cfg: &SysConfig,
-        streams: Vec<OpStream>,
-        build: impl FnOnce(&SysConfig, AddressMap) -> P,
-        mut queue: Q,
     ) -> Self {
         cfg.validate().expect("invalid configuration");
         let map = AddressMap::new(cfg.nodes, cfg.l2.block_bytes);
@@ -462,6 +369,12 @@ impl<P: Protocol, Q: Sched<Event>> Machine<P, Q> {
             "need 1..=nodes streams"
         );
         let n = streams.len();
+        // Far-future events are rare (one run-ahead wakeup per processor
+        // slice), so a small per-processor overflow reservation suffices.
+        let mut queue = scratch
+            .queue
+            .take()
+            .unwrap_or_else(|| EventQueue::with_capacity(4 * n));
         let procs = streams
             .into_iter()
             .enumerate()
@@ -502,18 +415,7 @@ impl<P: Protocol, Q: Sched<Event>> Machine<P, Q> {
             ops_done: 0,
             elided: 0,
             sharers: SharerMap::new(),
-            synthetic_events: 0,
-            batch_drain: true,
         }
-    }
-
-    /// Disables drain-chain batching: every retirement schedules its
-    /// Resume and WbAck as real events, reproducing the pre-batching
-    /// engine exactly. The differential tests pin the batched path
-    /// against this oracle (same digests, same event counts).
-    pub fn per_event_drain(mut self) -> Self {
-        self.batch_drain = false;
-        self
     }
 
     /// Runs to completion and returns the report.
@@ -526,7 +428,15 @@ impl<P: Protocol, Q: Sched<Event>> Machine<P, Q> {
         self.run_inner().0
     }
 
-    fn run_inner(mut self) -> (RunReport, Q) {
+    /// Runs to completion, parking the reusable allocations in `scratch`
+    /// for the caller's next [`Machine::with_scratch`].
+    pub fn run_reusing(self, scratch: &mut EngineScratch) -> RunReport {
+        let (report, queue) = self.run_inner();
+        scratch.queue = Some(queue);
+        report
+    }
+
+    fn run_inner(mut self) -> (RunReport, EventQueue<Event>) {
         let t0 = Instant::now();
         while let Some((_, ev)) = self.queue.pop() {
             match ev {
@@ -562,10 +472,7 @@ impl<P: Protocol, Q: Sched<Event>> Machine<P, Q> {
             nodes: self.stats,
             proto: *self.proto.counters(),
             ring: self.proto.ring_stats(),
-            // Elided drain-chain events count as if scheduled: the batched
-            // engine must report the exact event total of the per-event
-            // schedule it is equivalent to (digests hash this).
-            events: self.queue.scheduled_total() + self.synthetic_events,
+            events: self.queue.scheduled_total(),
             ops: self.ops_done,
             elided_ops: self.elided,
             channels: self.proto.channel_report(),
@@ -625,88 +532,33 @@ impl<P: Protocol, Q: Sched<Event>> Machine<P, Q> {
             return;
         }
         self.procs[p].retiring = true;
-        self.retire_chain(p, t);
+        self.retire_head(p, t);
     }
 
-    /// Retires write-buffer entries starting at local time `t`. Invariant
-    /// on entry: `retiring[p]` is set and the buffer is non-empty.
-    ///
-    /// The per-event engine pays two events per retired block: the WbAck
-    /// that completes one retirement and (for a stalled writer) the
-    /// Resume that restarts the processor. With `batch_drain` the chain
-    /// elides both where their pop is provably the next thing the queue
-    /// would do anyway (`has_event_by` says nothing else is due first):
-    ///
-    /// * a stalled writer's Resume at the current clock fuses into an
-    ///   inline `run_proc` — the dominant wf/radix lockstep pattern
-    ///   (write, stall, retire, resume, write, ...) halves to one real
-    ///   event per block;
-    /// * an unobserved intermediate WbAck skips its trip through the
-    ///   queue and the next entry retires in the same event — a solo
-    ///   drain (pre-barrier flush) retires the whole buffer span on one
-    ///   WbKick plus one final real WbAck.
-    ///
-    /// Elided events are counted in `synthetic_events`; the final WbAck
-    /// of every span is always real, so the drain-complete wake
-    /// (`BlockedDrain`) and the `retiring` window end exactly as before.
-    /// DESIGN.md §12 gives the full equivalence argument.
-    fn retire_chain(&mut self, p: usize, mut t: Time) {
-        loop {
-            let entry = self.nodes[p].wb.pop().expect("non-empty");
-            // The freed slot may unblock a stalled writer immediately.
-            let mut fused_wake = false;
-            if self.procs[p].state == ProcState::BlockedWbFull {
-                if self.batch_drain
-                    && t == self.queue.now()
-                    && self.procs[p].block_start <= t
-                    && !self.queue.has_event_by(t)
-                {
-                    // The wake's Resume would land at the current clock
-                    // with nothing due before it: it would pop next, so
-                    // run the processor inline after this retirement
-                    // instead of scheduling it.
-                    self.stats[p].wb_stall += t - self.procs[p].block_start;
-                    self.procs[p].state = ProcState::Running;
-                    fused_wake = true;
-                } else {
-                    self.wake(p, t, Stall::Wb);
-                }
-            }
-            let ack_at = if entry.shared {
-                self.proto.retire_shared_write(
-                    &mut self.nodes,
-                    p,
-                    &entry,
-                    t,
-                    self.sharers.sharers(entry.block),
-                )
-            } else {
-                // Private write: drains into the local memory, no coherence.
-                let (applied, _) = self.nodes[p].mem.apply_update(t + 1, entry.words());
-                applied
-            };
-            if fused_wake {
-                // Schedule the ack *before* running the processor: every
-                // event the resumed processor schedules must carry a
-                // larger sequence number than this ack, exactly as when
-                // the ack entered the queue ahead of the Resume's pop.
-                schedule_clamped(&mut self.queue, ack_at, Event::WbAck(p));
-                self.synthetic_events += 1; // the elided Resume
-                self.run_proc(p);
-                return;
-            }
-            // Chain: if the ack would pop with nothing scheduled before
-            // it (and more entries wait), its only effect is to re-enter
-            // retirement at `eff` — do that here and skip the event.
-            let eff = ack_at.max(self.queue.now());
-            if self.batch_drain && !self.nodes[p].wb.is_empty() && !self.queue.has_event_by(eff) {
-                self.synthetic_events += 1; // the elided WbAck
-                t = eff;
-                continue;
-            }
-            schedule_clamped(&mut self.queue, ack_at, Event::WbAck(p));
-            return;
+    /// Retires the write buffer's head entry at local time `t`: the freed
+    /// slot wakes a writer stalled on a full buffer, the protocol walks
+    /// the write's path, and the WbAck that ends this retirement is
+    /// scheduled. Invariant on entry: `retiring[p]` is set and the buffer
+    /// is non-empty.
+    fn retire_head(&mut self, p: usize, t: Time) {
+        let entry = self.nodes[p].wb.pop().expect("non-empty");
+        if self.procs[p].state == ProcState::BlockedWbFull {
+            self.wake(p, t, Stall::Wb);
         }
+        let ack_at = if entry.shared {
+            self.proto.retire_shared_write(
+                &mut self.nodes,
+                p,
+                &entry,
+                t,
+                self.sharers.sharers(entry.block),
+            )
+        } else {
+            // Private write: drains into the local memory, no coherence.
+            let (applied, _) = self.nodes[p].mem.apply_update(t + 1, entry.words());
+            applied
+        };
+        schedule_clamped(&mut self.queue, ack_at, Event::WbAck(p));
     }
 
     /// An update ack arrived: retire the next entry or complete a drain.
@@ -1531,14 +1383,14 @@ impl<P: Protocol, Q: Sched<Event>> Machine<P, Q> {
 /// function, not a method: it carries no protocol type, and call sites
 /// such as [`ElideEnv`] have no `P` in scope to name.)
 #[inline]
-fn schedule_clamped<Q: Sched<Event>>(queue: &mut Q, at: Time, ev: Event) {
+fn schedule_clamped(queue: &mut EventQueue<Event>, at: Time, ev: Event) {
     let t = at.max(queue.now());
     debug_assert!(t >= queue.now(), "event scheduled in the past");
     queue.schedule(t, ev);
 }
 
 /// Runs `streams` on a machine whose protocol type is chosen statically
-/// from `cfg.arch`: the event loop, the retirement chain, and every
+/// from `cfg.arch`: the event loop, the write-buffer retirement, and every
 /// protocol call inside them monomorphize per protocol, so the per-event
 /// virtual dispatch of the `Box<dyn Protocol>` path disappears. This is
 /// the engine entry point for all built-in runs (`run_app`, sweeps, the

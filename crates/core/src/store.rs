@@ -26,11 +26,6 @@
 //!   golden-digest regeneration). Bumping it orphans every record at
 //!   once, exactly like a cold cache.
 //!
-//! The PDES partition count is deliberately **excluded**: `--pdes N` is
-//! a pure engine-speed choice whose reports are bit-identical to the
-//! serial engine (pinned by `tests/pdes_diff.rs`), so serial and
-//! partitioned runs share cache lines.
-//!
 //! ## Records: self-describing and self-verifying
 //!
 //! Each report is one JSON document (via the in-tree strict RFC 8259
@@ -326,9 +321,7 @@ fn point_workload(point: &SweepPoint) -> Workload {
     Workload::new(point.app, point.cfg.nodes).scale(point.scale)
 }
 
-/// [`cell_key`] for a sweep cell. The `pdes` field is excluded by
-/// construction: partitioning is an engine-speed choice with
-/// bit-identical reports.
+/// [`cell_key`] for a sweep cell.
 pub fn point_key(point: &SweepPoint) -> u64 {
     cell_key(&point.cfg, &point_workload(point))
 }
@@ -853,11 +846,40 @@ mod tests {
     }
 
     #[test]
-    fn pdes_partitioning_shares_cache_lines() {
-        // --pdes N reports are bit-identical to serial (tests/pdes_diff
-        // pins it), so the key must not depend on the partition count.
-        let p = small_point();
-        assert_eq!(point_key(&p), point_key(&p.clone().with_pdes(4)));
+    fn keys_are_pinned_literals() {
+        // Keys address records already on disk: a change to the key
+        // function (or to `SweepPoint`'s fields it reads) must come with
+        // an `ENGINE_SALT` bump, never silently. One cell per fabric.
+        let cells = [
+            (
+                SysConfig::base(Arch::NetCache),
+                AppId::Gauss,
+                0.1,
+                0x080e_fd98_3250_7831,
+            ),
+            (
+                SysConfig::base(Arch::NetCache)
+                    .with_topology(crate::config::TopoKind::MultiRing)
+                    .with_rings(2),
+                AppId::Sor,
+                0.1,
+                0xedaa_0c01_5976_a60f,
+            ),
+            (
+                SysConfig::base(Arch::NetCache)
+                    .with_nodes(64)
+                    .with_topology(crate::config::TopoKind::StarOfRings),
+                AppId::Fft,
+                0.02,
+                0xf537_ff72_89d9_908b,
+            ),
+        ];
+        for (cfg, app, scale, want) in cells {
+            let p = SweepPoint::new(cfg, app, scale);
+            let wl = Workload::new(app, cfg.nodes).scale(scale);
+            assert_eq!(cell_key(&cfg, &wl), want, "cell_key {}", p.label);
+            assert_eq!(point_key(&p), want, "point_key {}", p.label);
+        }
     }
 
     #[test]

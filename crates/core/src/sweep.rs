@@ -37,7 +37,6 @@ use crate::config::{Arch, ChannelAssoc, Replacement, RingConfig, SysConfig, Topo
 use crate::json;
 use crate::machine::{run_workload, EngineScratch};
 use crate::metrics::RunReport;
-use crate::pdes::run_workload_pdes;
 use crate::store::Store;
 
 /// One fully resolved cell of a sweep grid.
@@ -51,11 +50,6 @@ pub struct SweepPoint {
     pub app: AppId,
     /// Input scale for the workload.
     pub scale: f64,
-    /// Partition count for the conservative-PDES engine; `0` or `1`
-    /// runs the serial engine. Reports are bit-identical either way
-    /// (the PDES queue replays the exact global event order), so this
-    /// is purely an engine-speed choice and not part of the label.
-    pub pdes: usize,
 }
 
 impl SweepPoint {
@@ -88,15 +82,7 @@ impl SweepPoint {
             cfg,
             app,
             scale,
-            pdes: 0,
         }
-    }
-
-    /// Selects the partitioned engine with `parts` partitions for this
-    /// cell (0 = serial; 1 = partitioned engine with a single lane).
-    pub fn with_pdes(mut self, parts: usize) -> Self {
-        self.pdes = parts;
-        self
     }
 
     /// Runs this one cell (workload sized to the configured node count)
@@ -112,11 +98,7 @@ impl SweepPoint {
     /// [`run`]: SweepPoint::run
     pub fn run_with(&self, scratch: &mut EngineScratch) -> RunReport {
         let wl = Workload::new(self.app, self.cfg.nodes).scale(self.scale);
-        if self.pdes >= 1 {
-            run_workload_pdes(&self.cfg, &wl, self.pdes, scratch)
-        } else {
-            run_workload(&self.cfg, &wl, scratch)
-        }
+        run_workload(&self.cfg, &wl, scratch)
     }
 }
 
@@ -161,9 +143,6 @@ pub struct SweepSpec {
     /// Topology axis: `(kind, rings)` pairs (`rings` is meaningful for
     /// multi-ring only and must be 1 otherwise).
     topos: Vec<(TopoKind, usize)>,
-    /// Partition count for the PDES engine (0/1 = serial), applied to
-    /// every cell.
-    pdes: usize,
 }
 
 impl Default for SweepSpec {
@@ -188,7 +167,6 @@ impl SweepSpec {
             mem_latency: None,
             scale_for: None,
             topos: vec![(TopoKind::Single, 1)],
-            pdes: 0,
         }
     }
 
@@ -197,14 +175,6 @@ impl SweepSpec {
     /// exactly the pre-topology point order and labels.
     pub fn topologies(mut self, topos: impl IntoIterator<Item = (TopoKind, usize)>) -> Self {
         self.topos = topos.into_iter().collect();
-        self
-    }
-
-    /// Runs every cell on the partitioned (conservative-PDES) engine
-    /// with `parts` partitions; 0 or 1 keeps the serial engine. Reports
-    /// are bit-identical either way.
-    pub fn pdes(mut self, parts: usize) -> Self {
-        self.pdes = parts;
         self
     }
 
@@ -333,9 +303,7 @@ impl SweepSpec {
                                         Some(f) => f(app),
                                         None => scale,
                                     };
-                                    points.push(
-                                        SweepPoint::new(cfg, app, scale).with_pdes(self.pdes),
-                                    );
+                                    points.push(SweepPoint::new(cfg, app, scale));
                                 }
                             }
                         }
@@ -878,8 +846,8 @@ mod tests {
     #[test]
     fn par_map_with_propagates_worker_panic() {
         // A panic in any worker must surface to the caller when the
-        // scope joins — never a silent missing slot. The PDES sweep path
-        // leans on this: a diverging cell must abort the whole sweep.
+        // scope joins — never a silent missing slot: a cell that panics
+        // must abort the whole sweep.
         let result = std::panic::catch_unwind(|| {
             par_map_with(
                 (0..16u64).collect::<Vec<_>>(),

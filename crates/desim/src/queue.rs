@@ -43,63 +43,12 @@ const WHEEL: usize = 8192;
 const MASK: u64 = WHEEL as u64 - 1;
 const WORDS: usize = WHEEL / 64;
 
-/// The queue interface the simulation engine runs against: the serial
-/// [`EventQueue`] and the partitioned [`PartitionedQueue`](crate::pqueue::PartitionedQueue)
-/// both implement it, so an engine generic over `Sched` can swap its
-/// future-event list without touching any event-handler code. Both
-/// implementations deliver the exact same global `(time, seq)` order —
-/// the contract every differential test in the workspace pins.
-///
-/// `has_event_by` takes `&mut self` (unlike [`EventQueue::has_event_by`])
-/// so implementations may refresh lazy merge state while answering.
-pub trait Sched<E> {
-    /// Current simulation time (timestamp of the last popped event).
-    fn now(&self) -> Time;
-    /// Schedules `event` at absolute time `at` (`at >= now`).
-    fn schedule(&mut self, at: Time, event: E);
-    /// Pops the globally next `(time, seq)` event, advancing the clock.
-    fn pop(&mut self) -> Option<(Time, E)>;
-    /// True iff any pending event has timestamp `<= t`.
-    fn has_event_by(&mut self, t: Time) -> bool;
-    /// Total number of events ever scheduled.
-    fn scheduled_total(&self) -> u64;
-    /// Rewinds to a fresh queue, keeping allocations.
-    fn reset(&mut self);
-}
-
-impl<E> Sched<E> for EventQueue<E> {
-    #[inline]
-    fn now(&self) -> Time {
-        EventQueue::now(self)
-    }
-    #[inline]
-    fn schedule(&mut self, at: Time, event: E) {
-        EventQueue::schedule(self, at, event)
-    }
-    #[inline]
-    fn pop(&mut self) -> Option<(Time, E)> {
-        EventQueue::pop(self)
-    }
-    #[inline]
-    fn has_event_by(&mut self, t: Time) -> bool {
-        EventQueue::has_event_by(self, t)
-    }
-    #[inline]
-    fn scheduled_total(&self) -> u64 {
-        EventQueue::scheduled_total(self)
-    }
-    #[inline]
-    fn reset(&mut self) {
-        EventQueue::reset(self)
-    }
-}
-
 /// A timestamped overflow entry. Ordered so the `BinaryHeap` (a max-heap)
 /// pops the *smallest* `(time, seq)` first.
-pub(crate) struct Entry<E> {
-    pub(crate) time: Time,
-    pub(crate) seq: u64,
-    pub(crate) event: E,
+struct Entry<E> {
+    time: Time,
+    seq: u64,
+    event: E,
 }
 
 impl<E> PartialEq for Entry<E> {
@@ -353,55 +302,6 @@ impl<E> EventQueue<E> {
         }
     }
 
-    /// True if any pending event has timestamp `<= t` — i.e. whether an
-    /// event scheduled *right now* for time `t` would pop after something
-    /// already queued. Unlike [`next_time`](Self::next_time), the wheel
-    /// scan gives up once it has covered the `now..=t` span, so probing a
-    /// near horizon stays cheap even when the next event is far away.
-    /// The engine's drain-chain batching calls this once per inlined
-    /// event, where the horizon is one ack latency out.
-    pub fn has_event_by(&self, t: Time) -> bool {
-        if self.over.peek().is_some_and(|e| e.time <= t) {
-            return true;
-        }
-        if self.wheel_len == 0 {
-            return false;
-        }
-        if let Some(m) = self.wheel_min {
-            return m <= t;
-        }
-        // Cached minimum stale: bounded forward scan. Scan order visits
-        // slots by increasing delta from `now`, so the first occupied
-        // slot found is the wheel's true minimum — compare it to the
-        // span and stop, or give up once the span is fully covered.
-        let span = t.saturating_sub(self.now).min(MASK);
-        let start = (self.now & MASK) as usize;
-        let mut word = start / 64;
-        let mut bs = self.bits[word] & (!0u64 << (start % 64));
-        let mut covered = (64 - start % 64) as Time;
-        let mut scanned = 0usize;
-        loop {
-            if bs != 0 {
-                let slot = word * 64 + bs.trailing_zeros() as usize;
-                let delta = (slot as Time).wrapping_sub(self.now) & MASK;
-                return delta <= span;
-            }
-            scanned += 1;
-            if scanned > WORDS || covered > span {
-                return false;
-            }
-            word = (word + 1) % WORDS;
-            bs = self.bits[word];
-            if scanned == WORDS {
-                bs &= !(!0u64 << (start % 64));
-                if start.is_multiple_of(64) {
-                    bs = 0;
-                }
-            }
-            covered += 64;
-        }
-    }
-
     /// Number of events currently pending.
     #[inline]
     pub fn len(&self) -> usize {
@@ -590,53 +490,6 @@ mod tests {
             seen[id as usize] = true;
         }
         assert!(seen.iter().all(|&s| s));
-    }
-
-    #[test]
-    fn has_event_by_agrees_with_next_time() {
-        // `has_event_by(t)` must equal `next_time() <= t` in every queue
-        // state: empty, fresh-scheduled (cached minimum), post-pop (stale
-        // minimum forcing the bounded scan), wrapped slots, overflow-only,
-        // and mixed.
-        let mut q = EventQueue::new();
-        assert!(!q.has_event_by(0));
-        assert!(!q.has_event_by(u64::MAX));
-        let mut rng: u64 = 0xD1FF_BEEF;
-        let step = |r: &mut u64| {
-            *r ^= *r << 13;
-            *r ^= *r >> 7;
-            *r ^= *r << 17;
-            *r
-        };
-        for i in 0..3000u64 {
-            let roll = step(&mut rng);
-            let delay = match roll % 6 {
-                0 => 0,
-                1 => roll % 64,
-                2 => roll % 4096,
-                3 => WHEEL as u64 + roll % 4096, // overflow
-                _ => roll % 300,
-            };
-            q.schedule(q.now() + delay, i);
-            if roll % 3 == 0 {
-                q.pop(); // leaves wheel_min stale -> exercises the scan
-            }
-            let probe = q.now() + step(&mut rng) % (2 * WHEEL as u64);
-            let want = q.next_time().is_some_and(|n| n <= probe);
-            assert_eq!(
-                q.has_event_by(probe),
-                want,
-                "i={i} probe={probe} next={:?}",
-                q.next_time()
-            );
-            // Boundary probes around the actual next event time.
-            if let Some(n) = q.next_time() {
-                assert!(q.has_event_by(n));
-                if n > q.now() {
-                    assert!(!q.has_event_by(n - 1));
-                }
-            }
-        }
     }
 
     #[test]

@@ -35,15 +35,15 @@
 //! resumes where it left off. `bench-engine` always re-simulates (it
 //! measures engine time) but *seeds* the store with its reports.
 
-use std::io::Write as _;
+use std::fmt::Display;
+use std::io::{ErrorKind, Write as _};
 use std::process::exit;
 
 use netcache::apps::{trace, AppId, OpStream, Workload};
+use netcache::json::{self, Value};
 use netcache::mem::AddressMap;
 use netcache::sweep::{NoopObserver, StderrProgress, SweepObserver, SweepResult, SweepSpec};
-use netcache::{
-    run_app, run_workload_pdes, Arch, EngineScratch, Machine, Store, SysConfig, TopoKind,
-};
+use netcache::{run_app, Arch, Machine, Store, SysConfig, TopoKind};
 
 struct Args {
     positional: Vec<String>,
@@ -58,8 +58,6 @@ struct Args {
     /// Cache-ring count C for `--topology multi-ring`.
     rings: Option<usize>,
     jobs: Option<usize>,
-    /// Partition count for the conservative-PDES engine (0 = serial).
-    pdes: usize,
     json: Option<String>,
     csv: Option<String>,
     serial: bool,
@@ -77,13 +75,11 @@ fn usage() -> ! {
     eprintln!(
         "usage: netcache <run|compare|sweep|trace|replay|profile|bench-engine|bench-compare> ... \
          [--arch netcache|lambdanet|dmon-u|dmon-i] [--scale S] [--procs P] [--ring-kb K] \
-         [--topology single|multi-ring|star-of-rings] [--rings C] [--pdes N]\n\
+         [--topology single|multi-ring|star-of-rings] [--rings C]\n\
          sweep flags: [--archs A,B|all] [--jobs N] [--ring-kbs K,K,...] \
          [--json FILE] [--csv FILE] [--serial] [--quiet] [--store DIR|--no-store]\n\
          bench-compare flags: --baseline FILE [--tolerance T]\n\
          bench-engine flags: [--update-baseline] [--json FILE] [--store DIR] (neither: dry run)\n\
-         --pdes N partitions the machine across N event wheels (run, sweep, \
-         bench-engine); results are bit-identical to the serial engine\n\
          --store DIR caches results on disk (sweep/compare serve cached cells, \
          bench-engine seeds); --no-store forces recomputation"
     );
@@ -100,9 +96,9 @@ fn parse_num<T: std::str::FromStr>(name: &str, v: &str) -> T {
     })
 }
 
-/// [`parse_num`] for counts that must be at least 1 (`--jobs 0` or
-/// `--pdes 0` would mean "no workers"/"no partitions" — a configuration
-/// with no meaning, named as such instead of misbehaving downstream).
+/// [`parse_num`] for counts that must be at least 1 (`--jobs 0` would
+/// mean "no workers" — a configuration with no meaning, named as such
+/// instead of misbehaving downstream).
 fn parse_count(name: &str, v: &str) -> usize {
     let n: usize = parse_num(name, v);
     if n == 0 {
@@ -137,7 +133,6 @@ fn parse_args() -> Args {
         topology: None,
         rings: None,
         jobs: None,
-        pdes: 0,
         json: None,
         csv: None,
         serial: false,
@@ -182,7 +177,6 @@ fn parse_args() -> Args {
             "--topology" => args.topology = Some(parse_topology(&grab("--topology"))),
             "--rings" => args.rings = Some(parse_count("--rings", &grab("--rings"))),
             "--jobs" => args.jobs = Some(parse_count("--jobs", &grab("--jobs"))),
-            "--pdes" => args.pdes = parse_count("--pdes", &grab("--pdes")),
             "--json" => args.json = Some(grab("--json")),
             "--csv" => args.csv = Some(grab("--csv")),
             "--serial" => args.serial = true,
@@ -293,23 +287,11 @@ fn engine_sweep(args: &Args) -> netcache::Sweep {
         .all_apps()
         .nodes([args.procs])
         .scale(args.scale)
-        .pdes(args.pdes)
         .build()
 }
 
 fn engine_grid(args: &Args) -> SweepResult {
     engine_sweep(args).run_serial()
-}
-
-/// Engine label for bench metadata: which event-loop variant timed the
-/// grid (cells run one at a time either way; `pdesN` partitions the
-/// event wheel *within* each cell).
-fn engine_name(args: &Args) -> String {
-    if args.pdes >= 1 {
-        format!("pdes{}", args.pdes)
-    } else {
-        "serial".into()
-    }
 }
 
 /// Grid-wide engine-throughput aggregates.
@@ -360,22 +342,6 @@ impl EngineAgg {
     }
 }
 
-/// Extracts the *last* `"key": <number>` in `s`. The bench JSON emits its
-/// top-level summary after the `cells`/`history` arrays, so the last
-/// occurrence of a summary key is the top-level value — which also makes
-/// this read pre-`history` baseline files correctly.
-fn json_num(s: &str, key: &str) -> Option<f64> {
-    let pat = format!("\"{key}\":");
-    let i = s.rfind(&pat)? + pat.len();
-    let rest = s[i..].trim_start();
-    let end = rest
-        .char_indices()
-        .find(|&(_, c)| !(c.is_ascii_digit() || matches!(c, '.' | '-' | '+' | 'e' | 'E')))
-        .map(|(j, _)| j)
-        .unwrap_or(rest.len());
-    rest[..end].parse().ok()
-}
-
 /// Validates the baseline `events_per_sec` before it becomes the gate's
 /// denominator. A zero (or negative, or non-finite) recorded value would
 /// make `cur < base * (1 - tolerance)` unsatisfiable, silently passing
@@ -393,54 +359,65 @@ fn checked_baseline_eps(raw: Option<f64>) -> Result<f64, String> {
     }
 }
 
-/// Looks up one cell's `events` count in a bench JSON by its label. Cell
-/// labels are unique and only appear in the `cells` array, so the first
-/// match is the right one.
-fn baseline_cell_events(s: &str, label: &str) -> Option<u64> {
-    let pat = format!("\"label\": \"{label}\"");
-    let cell = &s[s.find(&pat)? + pat.len()..];
-    let key = "\"events\":";
-    let rest = cell[cell.find(key)? + key.len()..].trim_start();
-    let end = rest
-        .char_indices()
-        .find(|&(_, c)| !c.is_ascii_digit())
-        .map(|(j, _)| j)
-        .unwrap_or(rest.len());
-    rest[..end].parse().ok()
+/// Unwraps a file-I/O result, or exits 2 naming what failed: a bad path
+/// is user input, so it gets the same treatment as a bad flag value
+/// rather than a panic.
+fn or_exit<T>(r: std::io::Result<T>, what: impl Display) -> T {
+    r.unwrap_or_else(|e| {
+        eprintln!("cannot {what}: {e}");
+        exit(2)
+    })
 }
 
-/// Collects the history entries a refreshed bench file should carry: the
-/// previous file's own `history` entries plus its top-level summary as the
-/// newest entry. Entries are one-line JSON objects, re-emitted verbatim.
-fn history_entries(prev: &str) -> Vec<String> {
-    let mut out = Vec::new();
-    if let Some(start) = prev.find("\"history\": [") {
-        let inner = &prev[start + "\"history\": [".len()..];
-        if let Some(end) = inner.find(']') {
-            for line in inner[..end].lines() {
-                let t = line.trim().trim_end_matches(',');
-                if t.starts_with('{') {
-                    out.push(t.to_string());
-                }
-            }
-        }
+/// Parses a bench JSON file's text with the strict reader; anything that
+/// is not one complete JSON document (a truncated write, garbage) exits
+/// 2 naming the file — a half-read baseline must never anchor the gate.
+fn parse_bench_json(path: &str, text: &str) -> Value {
+    json::parse(text).unwrap_or_else(|e| {
+        eprintln!("{path}: not a valid bench JSON file: {e}");
+        exit(2)
+    })
+}
+
+/// One cell's `events` count in a parsed bench JSON, by label.
+fn baseline_cell_events(doc: &Value, label: &str) -> Option<u64> {
+    doc.get("cells")?
+        .as_arr()?
+        .iter()
+        .find(|c| c.get("label").and_then(Value::as_str) == Some(label))?
+        .get("events")?
+        .as_u64()
+}
+
+/// A top-level number of a parsed bench JSON.
+fn summary_num(doc: &Value, key: &str) -> Option<f64> {
+    doc.get(key)?.as_f64()
+}
+
+/// A bench file's summary numbers as one compact history entry (`None`
+/// when a required key is missing). The same form serves an archived
+/// entry and the outgoing top-level summary, so entries re-emit verbatim.
+fn history_entry(summary: &Value) -> Option<String> {
+    let ev = summary.get("total_events")?.as_u64()?;
+    let es = summary_num(summary, "engine_s")?;
+    let eps = summary_num(summary, "events_per_sec")?;
+    let mut e =
+        format!("{{\"total_events\": {ev}, \"engine_s\": {es:.3}, \"events_per_sec\": {eps:.0}");
+    if let Some(o) = summary_num(summary, "ops_per_sec") {
+        e.push_str(&format!(", \"ops_per_sec\": {o:.0}"));
     }
-    if let (Some(ev), Some(es), Some(eps)) = (
-        json_num(prev, "total_events"),
-        json_num(prev, "engine_s"),
-        json_num(prev, "events_per_sec"),
-    ) {
-        let mut e = format!(
-            "{{\"total_events\": {}, \"engine_s\": {es:.3}, \"events_per_sec\": {eps:.0}",
-            ev as u64
-        );
-        if let Some(o) = json_num(prev, "ops_per_sec") {
-            e.push_str(&format!(", \"ops_per_sec\": {o:.0}"));
-        }
-        e.push('}');
-        out.push(e);
-    }
-    out
+    e.push('}');
+    Some(e)
+}
+
+/// The history a refreshed bench file should carry: the previous file's
+/// own `history` entries plus its top-level summary as the newest entry.
+fn history_entries(prev: &Value) -> Vec<String> {
+    let old = prev
+        .get("history")
+        .and_then(Value::as_arr)
+        .unwrap_or_default();
+    old.iter().chain([prev]).filter_map(history_entry).collect()
 }
 
 fn main() {
@@ -458,11 +435,7 @@ fn main() {
             );
             let cfg = config(&args);
             let wl = Workload::new(app, args.procs).scale(args.scale);
-            let r = if args.pdes >= 1 {
-                run_workload_pdes(&cfg, &wl, args.pdes, &mut EngineScratch::new())
-            } else {
-                run_app(&cfg, &wl)
-            };
+            let r = run_app(&cfg, &wl);
             println!("{}", r.summary());
             println!(
                 "read stall {:.1}%  wb stall {:.1}%  sync {:.1}%  avg shared-read {:.0} pcycles",
@@ -513,8 +486,7 @@ fn main() {
                 .archs(args.archs.clone().unwrap_or_else(|| Arch::ALL.to_vec()))
                 .apps(apps)
                 .nodes([args.procs])
-                .scale(args.scale)
-                .pdes(args.pdes);
+                .scale(args.scale);
             if let Some(kbs) = &args.ring_kbs {
                 spec = spec.ring_kb(kbs.iter().copied());
             }
@@ -574,11 +546,17 @@ fn main() {
                 );
             }
             if let Some(path) = &args.json {
-                std::fs::write(path, result.to_json()).expect("write --json file");
+                or_exit(
+                    std::fs::write(path, result.to_json()),
+                    format_args!("write --json {path}"),
+                );
                 println!("wrote {path}");
             }
             if let Some(path) = &args.csv {
-                std::fs::write(path, result.to_csv()).expect("write --csv file");
+                or_exit(
+                    std::fs::write(path, result.to_csv()),
+                    format_args!("write --csv {path}"),
+                );
                 println!("wrote {path}");
             }
         }
@@ -590,26 +568,37 @@ fn main() {
                     .unwrap_or_else(|| usage()),
             );
             let dir = args.positional.get(2).cloned().unwrap_or_else(|| usage());
-            std::fs::create_dir_all(&dir).expect("create trace dir");
+            or_exit(
+                std::fs::create_dir_all(&dir),
+                format_args!("create trace dir {dir}"),
+            );
             let map = AddressMap::new(args.procs, 64);
             let wl = Workload::new(app, args.procs).scale(args.scale);
             for (p, stream) in wl.streams(&map).into_iter().enumerate() {
                 let path = format!("{dir}/{}.{p}.trace", app.name());
-                let mut f = std::fs::File::create(&path).expect("create trace file");
+                let mut f = or_exit(
+                    std::fs::File::create(&path),
+                    format_args!("create trace file {path}"),
+                );
                 for op in stream {
-                    writeln!(f, "{}", trace::format_op(&op)).expect("write");
+                    or_exit(
+                        writeln!(f, "{}", trace::format_op(&op)),
+                        format_args!("write trace file {path}"),
+                    );
                 }
                 println!("wrote {path}");
             }
         }
         "replay" => {
             let dir = args.positional.get(1).cloned().unwrap_or_else(|| usage());
-            let mut paths: Vec<_> = std::fs::read_dir(&dir)
-                .expect("read trace dir")
-                .filter_map(|e| e.ok())
-                .map(|e| e.path())
-                .filter(|p| p.extension().map(|e| e == "trace").unwrap_or(false))
-                .collect();
+            let mut paths: Vec<_> = or_exit(
+                std::fs::read_dir(&dir),
+                format_args!("read trace dir {dir}"),
+            )
+            .filter_map(|e| e.ok())
+            .map(|e| e.path())
+            .filter(|p| p.extension().map(|e| e == "trace").unwrap_or(false))
+            .collect();
             paths.sort();
             if paths.is_empty() {
                 eprintln!("no .trace files in {dir}");
@@ -618,7 +607,10 @@ fn main() {
             let streams: Vec<OpStream> = paths
                 .iter()
                 .map(|p| {
-                    let f = std::fs::File::open(p).expect("open trace");
+                    let f = or_exit(
+                        std::fs::File::open(p),
+                        format_args!("open trace file {}", p.display()),
+                    );
                     trace::into_stream(trace::load(f).unwrap_or_else(|e| {
                         eprintln!("{}: {e}", p.display());
                         exit(1)
@@ -684,16 +676,20 @@ fn main() {
             // The outgoing file's summary is preserved as the newest entry
             // of the refreshed file's `history`, so the committed bench
             // carries its own trajectory across engine revisions.
-            let history = std::fs::read_to_string(&path)
-                .map(|prev| history_entries(&prev))
-                .unwrap_or_default();
+            let history = match std::fs::read_to_string(&path) {
+                Ok(prev) => history_entries(&parse_bench_json(&path, &prev)),
+                Err(e) if e.kind() == ErrorKind::NotFound => Vec::new(),
+                Err(e) => {
+                    eprintln!("cannot read {path}: {e}");
+                    exit(2)
+                }
+            };
             let mut json = format!(
-                "{{\n  \"bench\": \"engine\",\n  \"grid\": \"{} x {} apps, {} nodes, scale {}, {}\",\n  \"cells\": [\n",
+                "{{\n  \"bench\": \"engine\",\n  \"grid\": \"{} x {} apps, {} nodes, scale {}, serial\",\n  \"cells\": [\n",
                 args.arch.name(),
                 result.runs.len(),
                 args.procs,
                 args.scale,
-                engine_name(&args)
             );
             for (i, r) in result.runs.iter().enumerate() {
                 let comma = if i + 1 < result.runs.len() { "," } else { "" };
@@ -712,9 +708,6 @@ fn main() {
                     r.report.ops_per_sec(),
                 ));
             }
-            // `history` precedes the summary keys: consumers (and
-            // `json_num`) take the LAST occurrence of a summary key as the
-            // file's own numbers.
             json.push_str("  ],\n  \"history\": [\n");
             for (i, h) in history.iter().enumerate() {
                 let comma = if i + 1 < history.len() { "," } else { "" };
@@ -733,7 +726,10 @@ fn main() {
                 agg.events_per_sec(),
                 agg.ops_per_sec(),
             ));
-            std::fs::write(&path, json).expect("write bench json");
+            or_exit(
+                std::fs::write(&path, json),
+                format_args!("write bench JSON {path}"),
+            );
             println!("wrote {path}");
         }
         "bench-compare" => {
@@ -748,7 +744,8 @@ fn main() {
                 eprintln!("cannot read baseline {baseline_path}: {e}");
                 exit(2)
             });
-            let base_eps = checked_baseline_eps(json_num(&baseline, "events_per_sec"))
+            let baseline = parse_bench_json(&baseline_path, &baseline);
+            let base_eps = checked_baseline_eps(summary_num(&baseline, "events_per_sec"))
                 .unwrap_or_else(|e| {
                     eprintln!("bench-compare: {e} ({baseline_path})");
                     exit(2)
@@ -760,7 +757,7 @@ fn main() {
                 "baseline: {:>12.0} events/sec ({})",
                 base_eps, baseline_path
             );
-            if let Some(s) = json_num(&baseline, "engine_s") {
+            if let Some(s) = summary_num(&baseline, "engine_s") {
                 println!("          engine_s {s:.3}");
             }
             println!(
@@ -774,12 +771,12 @@ fn main() {
                 "ratio: {ratio:.3}x (tolerance: {:.0}% regression)",
                 100.0 * args.tolerance
             );
-            if let Some(base_events) = json_num(&baseline, "total_events") {
-                if base_events as u64 != agg.events {
+            if let Some(base_events) = baseline.get("total_events").and_then(Value::as_u64) {
+                if base_events != agg.events {
                     println!(
                         "note: event count changed ({} -> {}): model revision, \
                          events/sec comparison is approximate",
-                        base_events as u64, agg.events
+                        base_events, agg.events
                     );
                 }
             }
@@ -882,19 +879,56 @@ mod tests {
 
     #[test]
     fn baseline_cell_events_finds_each_label() {
-        let j = "{\n  \"cells\": [\n    \
-                 {\"label\": \"netcache/fft/16\", \"events\": 24548, \"ops\": 7}, \n    \
-                 {\"label\": \"netcache/wf/16\", \"events\": 569335, \"ops\": 9}\n  ],\n  \
-                 \"events_per_sec\": 123\n}";
-        assert_eq!(baseline_cell_events(j, "netcache/fft/16"), Some(24548));
-        assert_eq!(baseline_cell_events(j, "netcache/wf/16"), Some(569335));
-        assert_eq!(baseline_cell_events(j, "netcache/lu/16"), None);
+        let j = json::parse(
+            "{\n  \"cells\": [\n    \
+             {\"label\": \"netcache/fft/16\", \"events\": 24548, \"ops\": 7}, \n    \
+             {\"label\": \"netcache/wf/16\", \"events\": 569335, \"ops\": 9}\n  ],\n  \
+             \"events_per_sec\": 123\n}",
+        )
+        .unwrap();
+        assert_eq!(baseline_cell_events(&j, "netcache/fft/16"), Some(24548));
+        assert_eq!(baseline_cell_events(&j, "netcache/wf/16"), Some(569335));
+        assert_eq!(baseline_cell_events(&j, "netcache/lu/16"), None);
     }
 
+    /// History entries repeat the summary keys; the gate reads the file's
+    /// own top-level numbers, never a history entry's.
     #[test]
-    fn json_num_takes_the_last_occurrence() {
-        let j = "{\"history\": [{\"events_per_sec\": 11}], \"events_per_sec\": 42.5}";
-        assert_eq!(json_num(j, "events_per_sec"), Some(42.5));
-        assert_eq!(json_num(j, "missing"), None);
+    fn summary_num_reads_the_top_level_key() {
+        let j = json::parse("{\"history\": [{\"events_per_sec\": 11}], \"events_per_sec\": 42.5}")
+            .unwrap();
+        assert_eq!(summary_num(&j, "events_per_sec"), Some(42.5));
+        assert_eq!(summary_num(&j, "missing"), None);
+    }
+
+    /// A baseline in the committed file's layout reads back through the
+    /// strict reader, and a refresh keeps every history entry verbatim
+    /// before appending the outgoing summary.
+    #[test]
+    fn history_survives_a_refresh() {
+        let text = "{\n  \"bench\": \"engine\",\n  \"cells\": [\n    \
+            {\"label\": \"netcache/fft/p16/s0.1\", \"events\": 24548, \"engine_ms\": 4.829}\n  ],\n  \
+            \"history\": [\n    \
+            {\"total_events\": 2493754, \"engine_s\": 0.964, \"events_per_sec\": 2587356},\n    \
+            {\"total_events\": 2493754, \"engine_s\": 0.612, \"events_per_sec\": 4077940, \"ops_per_sec\": 51208203}\n  ],\n  \
+            \"total_events\": 2493754,\n  \"engine_s\": 0.609,\n  \
+            \"events_per_sec\": 4093618,\n  \"ops_per_sec\": 51405077\n}\n";
+        let doc = json::parse(text).unwrap();
+        assert_eq!(summary_num(&doc, "events_per_sec"), Some(4093618.0));
+        assert_eq!(summary_num(&doc, "engine_s"), Some(0.609));
+        assert_eq!(
+            baseline_cell_events(&doc, "netcache/fft/p16/s0.1"),
+            Some(24548)
+        );
+        assert_eq!(
+            history_entries(&doc),
+            [
+                "{\"total_events\": 2493754, \"engine_s\": 0.964, \"events_per_sec\": 2587356}",
+                "{\"total_events\": 2493754, \"engine_s\": 0.612, \"events_per_sec\": 4077940, \
+                 \"ops_per_sec\": 51208203}",
+                "{\"total_events\": 2493754, \"engine_s\": 0.609, \"events_per_sec\": 4093618, \
+                 \"ops_per_sec\": 51405077}",
+            ]
+        );
     }
 }

@@ -1,12 +1,13 @@
-//! Adversarial CLI tests for the topology flags.
+//! Adversarial CLI tests for the topology flags and file arguments.
 //!
-//! The driver's contract for bad flag values is exit code 2 with a
-//! diagnostic that **names the offending flag** — never a panic, never a
-//! silently coerced machine. These tests shell out to the real binary
+//! The driver's contract for bad flag values and unusable files is exit
+//! code 2 with a diagnostic that **names the offending flag or file** —
+//! never a panic, never a silently coerced machine or gate. These tests shell out to the real binary
 //! (`CARGO_BIN_EXE_netcache`) so they pin the process-level behavior a
 //! script caller actually sees: exit status, stderr wording, and the
 //! absence of a simulation run on the bad path.
 
+use std::path::PathBuf;
 use std::process::Command;
 
 fn netcache(args: &[&str]) -> std::process::Output {
@@ -101,4 +102,57 @@ fn valid_topology_runs_clean() {
         "0.02",
     ]);
     assert_eq!(out.status.code(), Some(0), "stderr: {}", stderr_of(&out));
+}
+
+/// A per-test scratch directory under the system temp dir, emptied.
+fn scratch(tag: &str) -> PathBuf {
+    let dir = std::env::temp_dir().join(format!("netcache-cli-{}-{tag}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).expect("create scratch dir");
+    dir
+}
+
+/// A baseline cut off mid-number (`"events_per_sec": 47` from 4785425)
+/// must not gate against 47: it is not one complete JSON document, so
+/// `bench-compare` exits 2 naming the file before measuring anything.
+#[test]
+fn truncated_baseline_exits_two_naming_the_file() {
+    let dir = scratch("truncated");
+    let path = dir.join("BENCH_engine.json");
+    std::fs::write(
+        &path,
+        "{\n  \"cells\": [],\n  \"engine_s\": 0.521,\n  \"events_per_sec\": 47",
+    )
+    .unwrap();
+    let path = path.to_str().unwrap();
+    let out = netcache(&["bench-compare", "--baseline", path]);
+    assert_eq!(out.status.code(), Some(2), "stderr: {}", stderr_of(&out));
+    let err = stderr_of(&out);
+    assert!(err.contains(path), "file not named: {err}");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// An output path whose directory does not exist is a named error
+/// (exit 2, naming `--json`), not a panic after the sweep has run.
+#[test]
+fn sweep_json_into_missing_dir_exits_two_naming_the_flag() {
+    let dir = scratch("missing-json");
+    let path = dir.join("no-such-dir").join("out.json");
+    let out = netcache(&[
+        "sweep",
+        "fft",
+        "--archs",
+        "netcache",
+        "--procs",
+        "2",
+        "--scale",
+        "0.01",
+        "--quiet",
+        "--json",
+        path.to_str().unwrap(),
+    ]);
+    assert_eq!(out.status.code(), Some(2), "stderr: {}", stderr_of(&out));
+    let err = stderr_of(&out);
+    assert!(err.contains("--json"), "flag not named: {err}");
+    let _ = std::fs::remove_dir_all(&dir);
 }

@@ -76,9 +76,7 @@ const GOLDEN: &[(Arch, AppId, usize, u32, u64)] = &[
     // Two full-size cells: the paper's 16-node base machine.
     (Arch::NetCache, AppId::Sor, 16, 50, 0x3be25979e58f09bd),
     (Arch::DmonU, AppId::Gauss, 16, 50, 0x9b4cb65db4007f37),
-    // Two big-machine cells (64 nodes): the scale the PDES engine exists
-    // for. Pinned under the serial engine here and re-pinned under the
-    // partitioned engine in `golden_grid_reproduces_under_pdes`.
+    // Two big-machine cells (64 nodes).
     (Arch::NetCache, AppId::Sor, 64, 50, 0xcd070e8e51692e65),
     (Arch::DmonI, AppId::Gauss, 64, 50, 0xea2a4ab2a10634cf),
 ];
@@ -156,48 +154,8 @@ fn golden_grid_reproduces_bit_for_bit() {
     );
 }
 
-/// The same pinned digests must fall out of the conservative-PDES engine
-/// at every partition count: the partitioned queue replays the exact
-/// global `(time, seq)` event order, so `--pdes N` is required to be a
-/// pure engine-speed choice. Each cell runs at 4 partitions (clamped to
-/// the node count) and the 64-node cells additionally at one lane per
-/// node — the shape with the densest cross-lane traffic.
-#[test]
-fn golden_grid_reproduces_under_pdes() {
-    let mut scratch = netcache::EngineScratch::new();
-    let mut bad = Vec::new();
-    for &(arch, app, nodes, scale_pm, want) in GOLDEN {
-        let cfg = SysConfig::base(arch).with_nodes(nodes);
-        let wl = Workload::new(app, nodes).scale(scale_pm as f64 / 1000.0);
-        let mut parts_axis = vec![4];
-        if nodes >= 64 {
-            parts_axis.push(nodes);
-        }
-        for parts in parts_axis {
-            let got = netcache::run_workload_pdes(&cfg, &wl, parts, &mut scratch).digest();
-            if got != want {
-                bad.push(format!(
-                    "{:?}/{}/n{}/s{}/pdes{}: expected {:#018x}, got {:#018x}",
-                    arch,
-                    app.name(),
-                    nodes,
-                    scale_pm,
-                    parts,
-                    want,
-                    got
-                ));
-            }
-        }
-    }
-    assert!(
-        bad.is_empty(),
-        "PDES engine diverged from the pinned serial digests:\n{}",
-        bad.join("\n")
-    );
-}
-
 /// The topology lattice pins the new fabrics the same way the main grid
-/// pins the default one: bit-for-bit, serial and partitioned alike.
+/// pins the default one: bit-for-bit.
 #[test]
 fn golden_topology_cells_reproduce_bit_for_bit() {
     let mut bad = Vec::new();
@@ -221,40 +179,6 @@ fn golden_topology_cells_reproduce_bit_for_bit() {
     assert!(
         bad.is_empty(),
         "golden topology digests diverged:\n{}",
-        bad.join("\n")
-    );
-}
-
-/// The same topology cells under the partitioned engine: the trait-derived
-/// lookahead (`min_hop_latency + 1`) must keep PDES runs bit-identical on
-/// clustered fabrics too, where partitions cut across cluster boundaries.
-#[test]
-fn golden_topology_cells_reproduce_under_pdes() {
-    let mut scratch = netcache::EngineScratch::new();
-    let mut bad = Vec::new();
-    for &(arch, app, nodes, scale_pm, kind, rings, want) in GOLDEN_TOPO {
-        let cfg = topo_cfg(arch, nodes, kind, rings);
-        let wl = Workload::new(app, nodes).scale(scale_pm as f64 / 1000.0);
-        for parts in [4, nodes] {
-            let got = netcache::run_workload_pdes(&cfg, &wl, parts, &mut scratch).digest();
-            if got != want {
-                bad.push(format!(
-                    "{:?}/{}/n{}/{:?}x{}/pdes{}: expected {:#018x}, got {:#018x}",
-                    arch,
-                    app.name(),
-                    nodes,
-                    kind,
-                    rings,
-                    parts,
-                    want,
-                    got
-                ));
-            }
-        }
-    }
-    assert!(
-        bad.is_empty(),
-        "PDES diverged on topology cells:\n{}",
         bad.join("\n")
     );
 }

@@ -370,10 +370,6 @@ fn hop_latencies_are_positive_and_symmetric() {
             let ab = t.hop_latency(a, b);
             assert!(ab > 0, "hop latency must be positive");
             assert_eq!(ab, t.hop_latency(b, a), "hop latency must be symmetric");
-            assert!(
-                ab >= t.min_hop_latency(),
-                "min_hop_latency must lower-bound every hop"
-            );
             // A broadcast reaches the farthest node, so it can never be
             // cheaper than any point-to-point hop from the same sender.
             assert!(t.broadcast_latency(a) >= ab, "broadcast cheaper than a hop");
