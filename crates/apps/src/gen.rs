@@ -6,11 +6,11 @@
 //!   private region, so every app lays out its arrays the same way.
 //! * [`Chunk`] — a builder for one phase's worth of operations (one outer
 //!   iteration, one pivot step, ...). Regular loops go in compressed as
-//!   [`MacroOp`] runs and [`Nest`]s; scalar pushes cover sync and
-//!   irregular references. Adjacent [`Op::Compute`]s coalesce so chunk
-//!   sizes stay proportional to the number of *references*, and the
-//!   builder rejects pushes whose scalar expansion would have coalesced
-//!   across a macro boundary (the port must keep such seams scalar).
+//!   [`Nest`]s; scalar pushes cover sync and irregular references.
+//!   Adjacent [`Op::Compute`]s coalesce so chunk sizes stay
+//!   proportional to the number of *references*, and the builder rejects
+//!   pushes whose scalar expansion would have coalesced across a macro
+//!   boundary (the port must keep such seams scalar).
 //! * [`chunked`] — turns a `FnMut(phase, &mut Chunk) -> bool` generator
 //!   into a lazy [`OpStream`]. Fill-in-place: the stream's refill buffer
 //!   is handed to the closure through the chunk, so paper-sized inputs
@@ -69,14 +69,11 @@ fn first_op(m: &MacroOp) -> Option<Op> {
     m.expand().next()
 }
 
-/// The last op a macro-op expands to, if any (seam checks). Cheap for
-/// every variant: nests walk one iteration's slots backward.
+/// The last op a macro-op expands to, if any (seam checks). Cheap: a
+/// nest walks one iteration's slots backward.
 fn last_op(m: &MacroOp) -> Option<Op> {
     match m {
         MacroOp::One(op) => Some(*op),
-        MacroOp::ComputeRun { cost, .. } => Some(Op::Compute(*cost)),
-        MacroOp::ReadRun { base, stride, n } => Some(Op::Read(base + (n - 1) * stride)),
-        MacroOp::WriteRun { base, stride, n } => Some(Op::Write(base + (n - 1) * stride)),
         MacroOp::Nest(nest) => {
             // Last iteration whose body emits anything, walked backward.
             for i in (0..nest.n()).rev() {
@@ -98,13 +95,6 @@ pub struct Chunk {
 }
 
 impl Chunk {
-    /// An empty chunk with room for about `cap` macro-ops.
-    pub fn with_capacity(cap: usize) -> Self {
-        Self {
-            ops: Vec::with_capacity(cap),
-        }
-    }
-
     /// Appends a read of element `i` (of `elem` bytes) of the array at
     /// `base`.
     #[inline]
@@ -130,35 +120,6 @@ impl Chunk {
         self.ops.push(MacroOp::One(Op::Write(a)));
     }
 
-    /// Appends reads of elements `i0..i0+n` of the array at `base`
-    /// (consecutive, stride `elem` bytes).
-    #[inline]
-    pub fn read_run(&mut self, base: Addr, i0: u64, n: u64, elem: u64) {
-        match n {
-            0 => {}
-            1 => self.read(base, i0, elem),
-            _ => self.ops.push(MacroOp::ReadRun {
-                base: base + i0 * elem,
-                stride: elem,
-                n,
-            }),
-        }
-    }
-
-    /// Appends writes of elements `i0..i0+n` of the array at `base`.
-    #[inline]
-    pub fn write_run(&mut self, base: Addr, i0: u64, n: u64, elem: u64) {
-        match n {
-            0 => {}
-            1 => self.write(base, i0, elem),
-            _ => self.ops.push(MacroOp::WriteRun {
-                base: base + i0 * elem,
-                stride: elem,
-                n,
-            }),
-        }
-    }
-
     /// Appends `n` cycles of computation, merging with a preceding
     /// `Compute`.
     ///
@@ -177,7 +138,7 @@ impl Chunk {
                 *c = c.saturating_add(n);
                 return;
             }
-            Some(m @ (MacroOp::ComputeRun { .. } | MacroOp::Nest(_))) => {
+            Some(m @ MacroOp::Nest(_)) => {
                 assert!(
                     !matches!(last_op(m), Some(Op::Compute(_))),
                     "compute after a macro ending in Compute: seam would coalesce"
@@ -186,29 +147,6 @@ impl Chunk {
             _ => {}
         }
         self.ops.push(MacroOp::One(Op::Compute(n)));
-    }
-
-    /// Appends `n` separate `Compute(cost)` ops (not coalesced — distinct
-    /// scalar ops, e.g. one per element of an irregular loop with
-    /// references elided).
-    ///
-    /// # Panics
-    /// If preceded by a `Compute` (either side of the run would coalesce
-    /// in the scalar builder).
-    pub fn compute_run(&mut self, cost: u32, n: u64) {
-        if n == 0 {
-            return;
-        }
-        assert!(cost > 0, "zero-cost compute run");
-        assert!(
-            !matches!(self.ops.last().and_then(last_op), Some(Op::Compute(_))),
-            "compute run after Compute: seam would coalesce"
-        );
-        if n == 1 {
-            self.ops.push(MacroOp::One(Op::Compute(cost)));
-        } else {
-            self.ops.push(MacroOp::ComputeRun { cost, n });
-        }
     }
 
     /// Appends a loop nest.
@@ -243,21 +181,6 @@ impl Chunk {
     #[inline]
     pub fn release(&mut self, id: LockId) {
         self.ops.push(MacroOp::One(Op::Release(id)));
-    }
-
-    /// Number of macro-ops in the chunk.
-    pub fn len(&self) -> usize {
-        self.ops.len()
-    }
-
-    /// Number of scalar ops the chunk expands to.
-    pub fn ops_len(&self) -> u64 {
-        self.ops.iter().map(|m| m.ops_len()).sum()
-    }
-
-    /// True if the chunk is empty.
-    pub fn is_empty(&self) -> bool {
-        self.ops.is_empty()
     }
 
     /// Consumes the chunk into its macro-op vector.
@@ -360,30 +283,6 @@ mod tests {
         c.compute(2);
         let ops: Vec<Op> = c.into_macros().iter().flat_map(|m| m.expand()).collect();
         assert_eq!(ops, vec![Op::Compute(7), Op::Read(100), Op::Compute(2)]);
-    }
-
-    #[test]
-    fn chunk_runs_expand_to_consecutive_elements() {
-        let mut c = Chunk::default();
-        c.read_run(1000, 2, 3, 4);
-        c.write_run(2000, 0, 2, 8);
-        c.read_run(3000, 5, 1, 4); // single element: scalar
-        c.compute_run(2, 3);
-        let ops: Vec<Op> = c.into_macros().iter().flat_map(|m| m.expand()).collect();
-        assert_eq!(
-            ops,
-            vec![
-                Op::Read(1008),
-                Op::Read(1012),
-                Op::Read(1016),
-                Op::Write(2000),
-                Op::Write(2008),
-                Op::Read(3020),
-                Op::Compute(2),
-                Op::Compute(2),
-                Op::Compute(2),
-            ]
-        );
     }
 
     #[test]

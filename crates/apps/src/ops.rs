@@ -3,9 +3,9 @@
 //! Two layers. The scalar [`Op`] is the unit of simulated work: one
 //! compute cycle bundle, one data reference, one sync operation. The
 //! compressed [`MacroOp`] is the unit of *transport*: generators describe
-//! their regular loops as runs and loop nests ([`Nest`]) instead of
-//! materializing every element, and the engine retires a whole run with a
-//! handful of block-granular probes. [`MacroOp::expand`] defines the
+//! their regular loops as loop nests ([`Nest`]) instead of materializing
+//! every element, and the engine retires a whole nest with a handful of
+//! block-granular probes. [`MacroOp::expand`] defines the
 //! scalar meaning of every macro-op; everything downstream (the stream's
 //! `Iterator` impl, the engine's fast path) must agree with it
 //! bit-for-bit.
@@ -41,11 +41,6 @@ pub enum Op {
 }
 
 impl Op {
-    /// True for synchronization operations.
-    pub fn is_sync(&self) -> bool {
-        matches!(self, Op::Acquire(_) | Op::Release(_) | Op::Barrier(_))
-    }
-
     /// True for data references.
     pub fn is_ref(&self) -> bool {
         matches!(self, Op::Read(_) | Op::Write(_))
@@ -107,9 +102,9 @@ impl Slot {
 /// order for each of `n` iterations. This is the macro-op that carries
 /// the *loop* instead of its elements: the inner loops of the regular
 /// kernels (wavefront, SOR, elimination, ...) interleave reads, compute,
-/// and writes per element, so a flat run enum could never compress them —
-/// a nest reproduces the exact interleaved scalar order while the engine
-/// retires whole block-segments of it at once.
+/// and writes per element; a nest reproduces the exact interleaved scalar
+/// order while the engine retires whole block-segments of it at once. A
+/// one-slot nest is an affine run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Nest {
     n: u64,
@@ -221,39 +216,14 @@ impl Nest {
 
 /// A compressed element of a processor's program order. Every macro-op
 /// denotes the exact scalar sequence [`expand`](Self::expand) produces;
-/// generators use the compressed forms for their regular loops and
+/// generators use [`Nest`] for their regular loops and
 /// [`One`](Self::One) for sync and irregular references.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum MacroOp {
     /// A single scalar op.
     One(Op),
-    /// `n` consecutive `Op::Compute(cost)`.
-    ComputeRun {
-        /// Cycles per op.
-        cost: u32,
-        /// Repetition count.
-        n: u64,
-    },
-    /// `Op::Read(base + i * stride)` for `i in 0..n`.
-    ReadRun {
-        /// Address at iteration 0.
-        base: Addr,
-        /// Byte step per iteration.
-        stride: u64,
-        /// Element count.
-        n: u64,
-    },
-    /// `Op::Write(base + i * stride)` for `i in 0..n`.
-    WriteRun {
-        /// Address at iteration 0.
-        base: Addr,
-        /// Byte step per iteration.
-        stride: u64,
-        /// Element count.
-        n: u64,
-    },
-    /// A counted loop template (boxed: nests are rarer and much larger
-    /// than the flat variants).
+    /// A counted loop template (boxed: a nest is much larger than an op,
+    /// and keeping it out of line holds `MacroOp` at 16 bytes).
     Nest(Box<Nest>),
 }
 
@@ -264,9 +234,6 @@ impl MacroOp {
     pub fn total_iters(&self) -> u64 {
         match self {
             MacroOp::One(_) => 1,
-            MacroOp::ComputeRun { n, .. }
-            | MacroOp::ReadRun { n, .. }
-            | MacroOp::WriteRun { n, .. } => *n,
             MacroOp::Nest(nest) => nest.n,
         }
     }
@@ -275,121 +242,29 @@ impl MacroOp {
     pub fn ops_len(&self) -> u64 {
         match self {
             MacroOp::One(_) => 1,
-            MacroOp::ComputeRun { n, .. }
-            | MacroOp::ReadRun { n, .. }
-            | MacroOp::WriteRun { n, .. } => *n,
             MacroOp::Nest(nest) => nest.ops_len(),
         }
     }
 
     /// The defining scalar expansion, in program order.
-    pub fn expand(&self) -> Expand<'_> {
-        Expand {
-            m: self,
-            iter: 0,
-            slot: 0,
-        }
+    pub fn expand(&self) -> impl Iterator<Item = Op> + '_ {
+        let (one, nest) = match self {
+            MacroOp::One(op) => (Some(*op), None),
+            MacroOp::Nest(nest) => (None, Some(&**nest)),
+        };
+        one.into_iter().chain(nest.into_iter().flat_map(|nest| {
+            (0..nest.n).flat_map(move |i| {
+                nest.slots()
+                    .iter()
+                    .filter_map(move |s| s.op_at(i, nest.wmask))
+            })
+        }))
     }
 }
 
-/// Iterator over a macro-op's scalar expansion (see [`MacroOp::expand`]).
-pub struct Expand<'a> {
-    m: &'a MacroOp,
-    iter: u64,
-    slot: usize,
-}
-
-impl Iterator for Expand<'_> {
-    type Item = Op;
-
-    fn next(&mut self) -> Option<Op> {
-        match self.m {
-            MacroOp::One(op) => {
-                if self.iter == 0 {
-                    self.iter = 1;
-                    Some(*op)
-                } else {
-                    None
-                }
-            }
-            MacroOp::ComputeRun { cost, n } => {
-                if self.iter < *n {
-                    self.iter += 1;
-                    Some(Op::Compute(*cost))
-                } else {
-                    None
-                }
-            }
-            MacroOp::ReadRun { base, stride, n } => {
-                if self.iter < *n {
-                    let a = base + self.iter * stride;
-                    self.iter += 1;
-                    Some(Op::Read(a))
-                } else {
-                    None
-                }
-            }
-            MacroOp::WriteRun { base, stride, n } => {
-                if self.iter < *n {
-                    let a = base + self.iter * stride;
-                    self.iter += 1;
-                    Some(Op::Write(a))
-                } else {
-                    None
-                }
-            }
-            MacroOp::Nest(nest) => loop {
-                if self.iter >= nest.n {
-                    return None;
-                }
-                let slots = nest.slots();
-                if self.slot >= slots.len() {
-                    self.slot = 0;
-                    self.iter += 1;
-                    continue;
-                }
-                let s = slots[self.slot];
-                self.slot += 1;
-                if let Some(op) = s.op_at(self.iter, nest.wmask) {
-                    return Some(op);
-                }
-            },
-        }
-    }
-}
-
-/// Expands `m` from iteration `from_iter` to its end into `out`.
-fn expand_from(m: &MacroOp, from_iter: u64, out: &mut Vec<Op>) {
-    match m {
-        MacroOp::One(op) => {
-            if from_iter == 0 {
-                out.push(*op);
-            }
-        }
-        MacroOp::ComputeRun { cost, n } => {
-            for _ in from_iter..*n {
-                out.push(Op::Compute(*cost));
-            }
-        }
-        MacroOp::ReadRun { base, stride, n } => {
-            for i in from_iter..*n {
-                out.push(Op::Read(base + i * stride));
-            }
-        }
-        MacroOp::WriteRun { base, stride, n } => {
-            for i in from_iter..*n {
-                out.push(Op::Write(base + i * stride));
-            }
-        }
-        MacroOp::Nest(nest) => {
-            for i in from_iter..nest.n {
-                nest.expand_iter_into(i, 0, out);
-            }
-        }
-    }
-}
-
-/// A chunk-at-a-time producer of macro-ops feeding an [`OpStream`].
+/// A chunk-at-a-time producer of macro-ops feeding an [`OpStream`] — the
+/// one producer form: generators and custom iterators both arrive
+/// through it (a materialized trace is already one whole chunk).
 ///
 /// Fill-in-place: the stream hands over its (cleared) refill buffer, so
 /// chunk capacity is recycled across phases and the generator performs no
@@ -402,30 +277,14 @@ pub trait MacroSource: Send {
     fn next_chunk(&mut self, buf: &mut Vec<MacroOp>) -> bool;
 }
 
-/// A chunk-at-a-time producer of scalar ops; the scalar convenience form
-/// of [`MacroSource`] (each op is wrapped as [`MacroOp::One`] on refill,
-/// through a reused staging buffer).
-pub trait OpSource: Send {
-    /// Appends the next phase's operations into `buf` (handed over
-    /// cleared); returns false when the program has ended. May leave
-    /// `buf` empty (a phase that emits nothing).
-    fn next_chunk(&mut self, buf: &mut Vec<Op>) -> bool;
-}
+/// A [`MacroSource`] of [`MacroOp::One`]s drawn from a scalar iterator,
+/// 1024 at a time so the per-op cost stays an inlined buffer read.
+struct Ones<I>(I);
 
-/// Adapts an [`OpSource`] to the macro layer with a reused staging buffer.
-struct ScalarChunks<S> {
-    inner: S,
-    buf: Vec<Op>,
-}
-
-impl<S: OpSource> MacroSource for ScalarChunks<S> {
-    fn next_chunk(&mut self, out: &mut Vec<MacroOp>) -> bool {
-        self.buf.clear();
-        if !self.inner.next_chunk(&mut self.buf) {
-            return false;
-        }
-        out.extend(self.buf.iter().map(|&op| MacroOp::One(op)));
-        true
+impl<I: Iterator<Item = Op> + Send> MacroSource for Ones<I> {
+    fn next_chunk(&mut self, buf: &mut Vec<MacroOp>) -> bool {
+        buf.extend(self.0.by_ref().take(1024).map(MacroOp::One));
+        !buf.is_empty()
     }
 }
 
@@ -434,9 +293,9 @@ impl<S: OpSource> MacroSource for ScalarChunks<S> {
 /// Internally a two-level cursor over the macro-op layer. The *macro
 /// buffer* (`mbuf`) holds the current chunk with a position and an
 /// iteration index into the current macro-op; the *spill buffer* (`sbuf`)
-/// holds already-scalarized ops (a nest iteration tail, a peeked run) and
-/// is always served first. Iterating the stream yields exactly the
-/// concatenation of every macro-op's [`MacroOp::expand`], in order.
+/// holds the scalarized tail of one nest iteration and is always served
+/// first. Iterating the stream yields exactly the concatenation of every
+/// macro-op's [`MacroOp::expand`], in order.
 ///
 /// The engine's fast path walks the macro layer directly
 /// ([`spill`](Self::spill) / [`macro_run`](Self::macro_run) /
@@ -453,13 +312,14 @@ pub struct OpStream {
 }
 
 impl OpStream {
-    /// A stream over a fully materialized op vector (replays, tests).
+    /// A stream over a fully materialized op vector (replays, tests),
+    /// loaded as one chunk of [`MacroOp::One`]s.
     pub fn from_ops(ops: Vec<Op>) -> Self {
         Self {
-            mbuf: Vec::new(),
+            mbuf: ops.into_iter().map(MacroOp::One).collect(),
             mpos: 0,
             iter: 0,
-            sbuf: ops,
+            sbuf: Vec::new(),
             spos: 0,
             source: None,
         }
@@ -477,26 +337,10 @@ impl OpStream {
         }
     }
 
-    /// A stream drawing scalar chunks from `source` on demand.
-    pub fn from_source(source: impl OpSource + 'static) -> Self {
-        Self::from_macro_source(ScalarChunks {
-            inner: source,
-            buf: Vec::new(),
-        })
-    }
-
-    /// Wraps an arbitrary op iterator, batching it into chunks so the
-    /// per-op cost stays an inlined buffer read. The extension point for
-    /// custom front-ends that aren't phase-structured.
+    /// Wraps an arbitrary op iterator as a source of `One`s. The extension
+    /// point for custom front-ends that aren't phase-structured.
     pub fn lazy(it: impl Iterator<Item = Op> + Send + 'static) -> Self {
-        struct IterSource<I>(I);
-        impl<I: Iterator<Item = Op> + Send> OpSource for IterSource<I> {
-            fn next_chunk(&mut self, buf: &mut Vec<Op>) -> bool {
-                buf.extend(self.0.by_ref().take(1024));
-                !buf.is_empty()
-            }
-        }
-        Self::from_source(IterSource(it))
+        Self::from_macro_source(Ones(it))
     }
 
     /// Re-wraps this stream as a scalar-only stream: every macro-op is
@@ -504,25 +348,7 @@ impl OpStream {
     /// for differential tests — the engine sees the identical op sequence
     /// with the compression stripped.
     pub fn scalarized(self) -> Self {
-        struct Scalarize(OpStream);
-        impl MacroSource for Scalarize {
-            fn next_chunk(&mut self, buf: &mut Vec<MacroOp>) -> bool {
-                buf.extend(self.0.by_ref().take(1024).map(MacroOp::One));
-                !buf.is_empty()
-            }
-        }
-        Self::from_macro_source(Scalarize(self))
-    }
-
-    /// Advances `iter` by one on `mbuf[mpos]` (which has `n` iterations),
-    /// stepping to the next macro-op when the last iteration is consumed.
-    #[inline]
-    fn bump_iter(&mut self, n: u64) {
-        self.iter += 1;
-        if self.iter >= n {
-            self.mpos += 1;
-            self.iter = 0;
-        }
+        Self::lazy(self)
     }
 
     /// Ensures the macro cursor points at a macro-op, refilling from the
@@ -612,50 +438,11 @@ impl OpStream {
         debug_assert!(self.spos >= self.sbuf.len(), "spill not drained");
         self.sbuf.clear();
         self.spos = 0;
-        let iter = self.iter;
-        let n = match &self.mbuf[self.mpos] {
-            MacroOp::Nest(nest) => {
-                nest.expand_iter_into(iter, from_slot, &mut self.sbuf);
-                nest.n
-            }
-            m => unreachable!("spill_iter_tail on non-nest {m:?}"),
+        let MacroOp::Nest(nest) = &self.mbuf[self.mpos] else {
+            unreachable!("spill_iter_tail on a scalar op")
         };
-        self.bump_iter(n);
-    }
-
-    // --- scalar peek API ---------------------------------------------
-
-    /// The remaining buffered scalar run, without consuming it. When the
-    /// spill buffer is drained, the whole remaining current chunk is
-    /// scalarized (refilling from the source first if needed) so callers
-    /// see runs comparable to the pre-macro chunks. Returns an empty
-    /// slice only when the stream has ended.
-    pub fn peek_run(&mut self) -> &[Op] {
-        if self.spos >= self.sbuf.len() {
-            self.sbuf.clear();
-            self.spos = 0;
-            while self.sbuf.is_empty() {
-                if self.cur().is_none() {
-                    break;
-                }
-                while self.mpos < self.mbuf.len() {
-                    expand_from(&self.mbuf[self.mpos], self.iter, &mut self.sbuf);
-                    self.mpos += 1;
-                    self.iter = 0;
-                }
-            }
-        }
-        &self.sbuf[self.spos..]
-    }
-
-    /// Consumes the first `n` ops of the run last returned by
-    /// [`peek_run`](Self::peek_run).
-    ///
-    /// # Panics
-    /// In debug builds, if `n` exceeds the buffered run length.
-    #[inline]
-    pub fn consume(&mut self, n: usize) {
-        self.consume_spill(n);
+        nest.expand_iter_into(self.iter, from_slot, &mut self.sbuf);
+        self.consume_iters(1);
     }
 }
 
@@ -669,44 +456,13 @@ impl Iterator for OpStream {
                 self.spos += 1;
                 return Some(op);
             }
-            self.cur()?;
-            let iter = self.iter;
-            match &self.mbuf[self.mpos] {
-                MacroOp::One(op) => {
-                    let op = *op;
-                    self.mpos += 1;
-                    return Some(op);
-                }
-                MacroOp::ComputeRun { cost, n } => {
-                    let (c, n) = (*cost, *n);
-                    self.bump_iter(n);
-                    return Some(Op::Compute(c));
-                }
-                MacroOp::ReadRun { base, stride, n } => {
-                    let (a, n) = (base + iter * stride, *n);
-                    self.bump_iter(n);
-                    return Some(Op::Read(a));
-                }
-                MacroOp::WriteRun { base, stride, n } => {
-                    let (a, n) = (base + iter * stride, *n);
-                    self.bump_iter(n);
-                    return Some(Op::Write(a));
-                }
-                MacroOp::Nest(_) => {
-                    // Scalarize one iteration into the spill buffer and
-                    // serve from there (it may be empty: all-masked).
-                    self.sbuf.clear();
-                    self.spos = 0;
-                    let n = match &self.mbuf[self.mpos] {
-                        MacroOp::Nest(nest) => {
-                            nest.expand_iter_into(iter, 0, &mut self.sbuf);
-                            nest.n
-                        }
-                        _ => unreachable!(),
-                    };
-                    self.bump_iter(n);
-                }
+            if let MacroOp::One(op) = *self.cur()? {
+                self.mpos += 1;
+                return Some(op);
             }
+            // A nest: scalarize one iteration into the spill buffer and
+            // serve from there (it may be empty: all-masked).
+            self.spill_iter_tail(0);
         }
     }
 }
@@ -715,96 +471,8 @@ impl Iterator for OpStream {
 mod tests {
     use super::*;
 
-    /// An [`OpSource`] emitting a fixed schedule of phases, some of which
-    /// may be empty (the shared "gappy" fixture).
-    struct Phased(std::vec::IntoIter<Vec<Op>>);
-
-    fn gappy(phases: Vec<Vec<Op>>) -> Phased {
-        Phased(phases.into_iter())
-    }
-
-    impl OpSource for Phased {
-        fn next_chunk(&mut self, buf: &mut Vec<Op>) -> bool {
-            match self.0.next() {
-                Some(phase) => {
-                    buf.extend(phase);
-                    true
-                }
-                None => false,
-            }
-        }
-    }
-
-    #[test]
-    fn stream_from_ops_iterates_in_order() {
-        let ops = vec![Op::Compute(1), Op::Read(64), Op::Barrier(0)];
-        let got: Vec<Op> = OpStream::from_ops(ops.clone()).collect();
-        assert_eq!(got, ops);
-    }
-
-    #[test]
-    fn lazy_stream_batches_without_reordering() {
-        // More ops than one internal chunk, via a plain iterator.
-        let got: Vec<Op> = OpStream::lazy((0..5000u64).map(|i| Op::Read(i * 64))).collect();
-        assert_eq!(got.len(), 5000);
-        assert_eq!(got[0], Op::Read(0));
-        assert_eq!(got[4999], Op::Read(4999 * 64));
-    }
-
-    #[test]
-    fn empty_chunks_are_skipped() {
-        let s = OpStream::from_source(gappy(vec![
-            Vec::new(), // phases that emit nothing
-            vec![Op::Compute(7)],
-            Vec::new(),
-            vec![Op::Barrier(1)],
-        ]));
-        let got: Vec<Op> = s.collect();
-        assert_eq!(got, vec![Op::Compute(7), Op::Barrier(1)]);
-    }
-
-    #[test]
-    fn exhausted_stream_stays_exhausted() {
-        let mut s = OpStream::from_ops(vec![Op::Compute(1)]);
-        assert_eq!(s.next(), Some(Op::Compute(1)));
-        assert_eq!(s.next(), None);
-        assert_eq!(s.next(), None);
-    }
-
-    #[test]
-    fn peek_run_then_consume_matches_next() {
-        // Interleaving peeks, partial consumes, and next() must walk the
-        // stream in order exactly once, across chunk boundaries.
-        let ops: Vec<Op> = (0..3000u64).map(|i| Op::Read(i * 64)).collect();
-        let mut peeked = OpStream::lazy(ops.clone().into_iter());
-        let mut got = Vec::new();
-        loop {
-            let run = peeked.peek_run();
-            if run.is_empty() {
-                break;
-            }
-            let take = (run.len() / 2).max(1);
-            got.extend_from_slice(&run[..take]);
-            peeked.consume(take);
-            if let Some(op) = peeked.next() {
-                got.push(op);
-            }
-        }
-        assert_eq!(got, ops);
-        // Exhausted: peek stays empty, next stays None.
-        assert!(peeked.peek_run().is_empty());
-        assert_eq!(peeked.next(), None);
-    }
-
-    #[test]
-    fn peek_run_skips_empty_chunks() {
-        let mut s = OpStream::from_source(gappy(vec![Vec::new(), vec![Op::Compute(7)]]));
-        assert_eq!(s.peek_run(), &[Op::Compute(7)]);
-        s.consume(1);
-        assert!(s.peek_run().is_empty());
-    }
-
-    /// A [`MacroSource`] emitting a fixed schedule of macro chunks.
+    /// A [`MacroSource`] emitting a fixed schedule of macro chunks, some
+    /// of which may be empty.
     struct MacroPhased(std::vec::IntoIter<Vec<MacroOp>>);
 
     impl MacroSource for MacroPhased {
@@ -819,6 +487,73 @@ mod tests {
         }
     }
 
+    fn phased(phases: Vec<Vec<MacroOp>>) -> OpStream {
+        OpStream::from_macro_source(MacroPhased(phases.into_iter()))
+    }
+
+    /// A one-slot nest: `n` writes from `base` with the given stride.
+    fn strided_writes(base: Addr, stride: u64, n: u64) -> MacroOp {
+        let mut nest = Nest::new(n);
+        nest.write(base, stride);
+        MacroOp::Nest(Box::new(nest))
+    }
+
+    #[test]
+    fn macro_op_is_16_bytes() {
+        assert_eq!(std::mem::size_of::<MacroOp>(), 16);
+    }
+
+    #[test]
+    fn stream_from_ops_iterates_in_order() {
+        let ops = vec![Op::Compute(1), Op::Read(64), Op::Barrier(0)];
+        let got: Vec<Op> = OpStream::from_ops(ops.clone()).collect();
+        assert_eq!(got, ops);
+    }
+
+    #[test]
+    fn from_ops_serves_ones_through_the_macro_cursor() {
+        let ops = vec![Op::Compute(1), Op::Read(64), Op::Barrier(0)];
+        let mut s = OpStream::from_ops(ops.clone());
+        assert!(s.spill().is_empty());
+        let head: Vec<MacroOp> = s.macro_run().to_vec();
+        assert_eq!(
+            head,
+            ops.iter().map(|&op| MacroOp::One(op)).collect::<Vec<_>>()
+        );
+        s.consume_ones(2);
+        assert_eq!(s.collect::<Vec<Op>>(), vec![Op::Barrier(0)]);
+    }
+
+    #[test]
+    fn lazy_stream_batches_without_reordering() {
+        // More ops than one internal chunk, via a plain iterator.
+        let got: Vec<Op> = OpStream::lazy((0..5000u64).map(|i| Op::Read(i * 64))).collect();
+        assert_eq!(got.len(), 5000);
+        assert_eq!(got[0], Op::Read(0));
+        assert_eq!(got[4999], Op::Read(4999 * 64));
+    }
+
+    #[test]
+    fn empty_chunks_are_skipped() {
+        let s = phased(vec![
+            Vec::new(), // phases that emit nothing
+            vec![MacroOp::One(Op::Compute(7))],
+            Vec::new(),
+            vec![MacroOp::One(Op::Barrier(1))],
+        ]);
+        let got: Vec<Op> = s.collect();
+        assert_eq!(got, vec![Op::Compute(7), Op::Barrier(1)]);
+    }
+
+    #[test]
+    fn exhausted_stream_stays_exhausted() {
+        let mut s = OpStream::from_ops(vec![Op::Compute(1)]);
+        assert_eq!(s.next(), Some(Op::Compute(1)));
+        assert_eq!(s.next(), None);
+        assert_eq!(s.next(), None);
+        assert!(s.macro_run().is_empty());
+    }
+
     fn sample_macros() -> Vec<MacroOp> {
         let mut nest = Nest::new(5);
         nest.read(1 << 20, 4)
@@ -826,22 +561,16 @@ mod tests {
             .compute(3)
             .write_if(1 << 22, 4);
         nest.set_wmask(0b10110);
+        let mut reads = Nest::new(6);
+        reads.read(640, 4);
         let mut tail = Nest::new(3);
         tail.compute(2).write(4096, 8);
         vec![
             MacroOp::One(Op::Acquire(1)),
-            MacroOp::ComputeRun { cost: 4, n: 3 },
-            MacroOp::ReadRun {
-                base: 640,
-                stride: 4,
-                n: 6,
-            },
+            MacroOp::One(Op::Compute(4)),
+            MacroOp::Nest(Box::new(reads)),
             MacroOp::Nest(Box::new(nest)),
-            MacroOp::WriteRun {
-                base: 1 << 23,
-                stride: 16,
-                n: 4,
-            },
+            strided_writes(1 << 23, 16, 4),
             MacroOp::Nest(Box::new(tail)),
             MacroOp::One(Op::Release(1)),
         ]
@@ -856,53 +585,17 @@ mod tests {
             macros.iter().map(|m| m.ops_len()).sum::<u64>()
         );
         // Via the macro source (single chunk).
-        let got: Vec<Op> =
-            OpStream::from_macro_source(MacroPhased(vec![macros.clone()].into_iter())).collect();
+        let got: Vec<Op> = phased(vec![macros.clone()]).collect();
         assert_eq!(got, oracle);
         // Split across chunks at every boundary.
         for split in 0..=macros.len() {
             let (a, b) = macros.split_at(split);
-            let got: Vec<Op> =
-                OpStream::from_macro_source(MacroPhased(vec![a.to_vec(), b.to_vec()].into_iter()))
-                    .collect();
+            let got: Vec<Op> = phased(vec![a.to_vec(), b.to_vec()]).collect();
             assert_eq!(got, oracle, "split at {split}");
         }
         // And scalarized() is an identity on the op sequence.
-        let s = OpStream::from_macro_source(MacroPhased(vec![macros].into_iter()));
-        let got: Vec<Op> = s.scalarized().collect();
+        let got: Vec<Op> = phased(vec![macros]).scalarized().collect();
         assert_eq!(got, oracle);
-    }
-
-    #[test]
-    fn run_expansion_visits_exact_affine_addresses() {
-        // Property: ReadRun/WriteRun expansion visits exactly
-        // base + i*stride for i in 0..n, with no wraparound, for a spread
-        // of (base, stride, n) drawn from a deterministic generator.
-        let mut state = 0x9E3779B97F4A7C15u64;
-        let mut rng = move || {
-            state ^= state << 13;
-            state ^= state >> 7;
-            state ^= state << 17;
-            state
-        };
-        for _ in 0..200 {
-            let base = rng() % (1 << 45);
-            let stride = [0u64, 4, 8, 64, 4096][rng() as usize % 5];
-            let n = 1 + rng() % 300;
-            let reads = MacroOp::ReadRun { base, stride, n };
-            let writes = MacroOp::WriteRun { base, stride, n };
-            let got_r: Vec<Op> = reads.expand().collect();
-            let got_w: Vec<Op> = writes.expand().collect();
-            assert_eq!(got_r.len() as u64, n);
-            assert_eq!(got_w.len() as u64, n);
-            for (i, (r, w)) in got_r.iter().zip(&got_w).enumerate() {
-                let a = base
-                    .checked_add((i as u64).checked_mul(stride).unwrap())
-                    .expect("no wraparound");
-                assert_eq!(*r, Op::Read(a));
-                assert_eq!(*w, Op::Write(a));
-            }
-        }
     }
 
     #[test]
@@ -910,7 +603,8 @@ mod tests {
         let mut nest = Nest::new(4);
         nest.read(0, 4).write_if(1024, 4);
         nest.set_wmask(0b0101);
-        let got: Vec<Op> = MacroOp::Nest(Box::new(nest)).expand().collect();
+        let m = MacroOp::Nest(Box::new(nest));
+        let got: Vec<Op> = m.expand().collect();
         assert_eq!(
             got,
             vec![
@@ -922,66 +616,18 @@ mod tests {
                 Op::Read(12),
             ]
         );
-    }
-
-    #[test]
-    fn peek_run_crosses_chunk_refill_mid_run() {
-        // Start consuming a run via next(), leaving the cursor mid-run;
-        // peek_run must scalarize the remainder, and after consuming it
-        // the next peek refills across the chunk boundary.
-        let mut s = OpStream::from_macro_source(MacroPhased(
-            vec![
-                vec![MacroOp::ReadRun {
-                    base: 0,
-                    stride: 4,
-                    n: 5,
-                }],
-                vec![MacroOp::WriteRun {
-                    base: 1024,
-                    stride: 8,
-                    n: 4,
-                }],
-            ]
-            .into_iter(),
-        ));
-        assert_eq!(s.next(), Some(Op::Read(0)));
-        assert_eq!(s.next(), Some(Op::Read(4)));
-        // Mid-run peek: the remaining three reads of the first run.
-        assert_eq!(s.peek_run(), &[Op::Read(8), Op::Read(12), Op::Read(16)]);
-        s.consume(2);
-        assert_eq!(s.peek_run(), &[Op::Read(16)]);
-        s.consume(1);
-        // Drained: the next peek crosses into the second chunk.
-        assert_eq!(
-            s.peek_run(),
-            &[
-                Op::Write(1024),
-                Op::Write(1032),
-                Op::Write(1040),
-                Op::Write(1048)
-            ]
-        );
-        s.consume(4);
-        assert!(s.peek_run().is_empty());
-        assert_eq!(s.next(), None);
+        assert_eq!(m.ops_len(), 6);
     }
 
     #[test]
     fn engine_cursor_walks_iterations_and_spills_tails() {
         let mut nest = Nest::new(3);
         nest.read(0, 64).compute(2).write(4096, 64);
-        let mut s = OpStream::from_macro_source(MacroPhased(
-            vec![vec![
-                MacroOp::One(Op::Compute(9)),
-                MacroOp::Nest(Box::new(nest)),
-                MacroOp::ReadRun {
-                    base: 1 << 20,
-                    stride: 4,
-                    n: 4,
-                },
-            ]]
-            .into_iter(),
-        ));
+        let mut s = phased(vec![vec![
+            MacroOp::One(Op::Compute(9)),
+            MacroOp::Nest(Box::new(nest)),
+            strided_writes(1 << 20, 4, 4),
+        ]]);
         assert!(s.spill().is_empty());
         assert!(matches!(s.macro_run()[0], MacroOp::One(Op::Compute(9))));
         s.consume_ones(1);
@@ -1002,19 +648,16 @@ mod tests {
                 Op::Read(128),
                 Op::Compute(2),
                 Op::Write(4096 + 128),
-                Op::Read(1 << 20),
-                Op::Read((1 << 20) + 4),
-                Op::Read((1 << 20) + 8),
-                Op::Read((1 << 20) + 12),
+                Op::Write(1 << 20),
+                Op::Write((1 << 20) + 4),
+                Op::Write((1 << 20) + 8),
+                Op::Write((1 << 20) + 12),
             ]
         );
     }
 
     #[test]
     fn op_classification() {
-        assert!(Op::Barrier(0).is_sync());
-        assert!(Op::Acquire(1).is_sync());
-        assert!(!Op::Read(0).is_sync());
         assert!(Op::Read(0).is_ref());
         assert!(Op::Write(4).is_ref());
         assert!(!Op::Compute(3).is_ref());

@@ -84,7 +84,9 @@ pub(crate) fn streams(w: &Workload, map: &AddressMap) -> Vec<OpStream> {
                 }
                 c.barrier(bar);
                 // Publish my histogram; read everyone's for the prefix sum.
-                c.write_run(ghist, me as u64 * prm.radix, prm.radix, ELEM);
+                let mut publish = Nest::new(prm.radix);
+                publish.write(ghist + me as u64 * prm.radix * ELEM, ELEM);
+                c.nest(publish);
                 c.barrier(bar + 1);
                 for p in 0..procs as u64 {
                     // Sampled read of p's histogram row: every 4th counter.

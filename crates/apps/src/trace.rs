@@ -19,6 +19,7 @@
 //! ...), or the in-memory `Vec<Vec<Op>>` forms below.
 
 use crate::ops::{Op, OpStream};
+use std::collections::HashMap;
 use std::fmt::Write as _;
 use std::io::{BufRead, BufReader, Read};
 
@@ -99,10 +100,70 @@ pub fn load(reader: impl Read) -> Result<Vec<Op>, String> {
     Ok(ops)
 }
 
-/// Wraps parsed ops as an [`OpStream`] for [`Machine::with_streams`]
-/// (`netcache-core`).
+/// Wraps parsed ops as an [`OpStream`] for `netcache_core::run_streams`.
 pub fn into_stream(ops: Vec<Op>) -> OpStream {
     OpStream::from_ops(ops)
+}
+
+/// Readies a multiprocessor trace (one op vector per processor) for one
+/// machine run. Every trace must cross the same barrier sequence — the
+/// machine releases a barrier when all processors reach it, so a
+/// mismatch would deadlock. Lock and barrier ids are then renumbered
+/// densely in order of first appearance, with one map per kind shared by
+/// all traces, so any `u32` id is usable (the machine indexes its sync
+/// state by id).
+///
+/// # Errors
+/// `(i, why)` for the first trace `i` whose barrier sequence differs
+/// from trace 0's; nothing is renumbered then.
+pub fn renumber_sync(traces: &mut [Vec<Op>]) -> Result<(), (usize, String)> {
+    let barriers = |ops: &[Op]| -> Vec<u32> {
+        ops.iter()
+            .filter_map(|op| match op {
+                Op::Barrier(b) => Some(*b),
+                _ => None,
+            })
+            .collect()
+    };
+    let first = traces.first().map(|t| barriers(t)).unwrap_or_default();
+    for (i, t) in traces.iter().enumerate().skip(1) {
+        let seq = barriers(t);
+        if let Some(k) = (0..seq.len().min(first.len())).find(|&k| seq[k] != first[k]) {
+            return Err((
+                i,
+                format!(
+                    "barrier #{} is B {} where the first trace has B {}",
+                    k + 1,
+                    seq[k],
+                    first[k]
+                ),
+            ));
+        }
+        if seq.len() != first.len() {
+            return Err((
+                i,
+                format!(
+                    "crosses {} barriers where the first trace crosses {}",
+                    seq.len(),
+                    first.len()
+                ),
+            ));
+        }
+    }
+    let mut locks = HashMap::new();
+    let mut bars = HashMap::new();
+    let dense = |map: &mut HashMap<u32, u32>, id: &mut u32| {
+        let next = map.len() as u32;
+        *id = *map.entry(*id).or_insert(next);
+    };
+    for op in traces.iter_mut().flatten() {
+        match op {
+            Op::Acquire(l) | Op::Release(l) => dense(&mut locks, l),
+            Op::Barrier(b) => dense(&mut bars, b),
+            _ => {}
+        }
+    }
+    Ok(())
 }
 
 /// Summary statistics of a stream — handy before committing to a long
@@ -192,6 +253,65 @@ mod tests {
         let text = dump(original.clone());
         let back = load(text.as_bytes()).unwrap();
         assert_eq!(back, original);
+    }
+
+    #[test]
+    fn renumber_sync_makes_ids_dense_across_traces() {
+        let mut traces = vec![
+            vec![
+                Op::Acquire(4_000_000_000),
+                Op::Release(4_000_000_000),
+                Op::Barrier(u32::MAX),
+                Op::Acquire(9),
+                Op::Release(9),
+                Op::Barrier(7),
+            ],
+            vec![
+                Op::Barrier(u32::MAX),
+                Op::Acquire(9),
+                Op::Release(9),
+                Op::Barrier(7),
+            ],
+        ];
+        renumber_sync(&mut traces).unwrap();
+        assert_eq!(
+            traces,
+            vec![
+                vec![
+                    Op::Acquire(0),
+                    Op::Release(0),
+                    Op::Barrier(0),
+                    Op::Acquire(1),
+                    Op::Release(1),
+                    Op::Barrier(1),
+                ],
+                vec![
+                    Op::Barrier(0),
+                    Op::Acquire(1),
+                    Op::Release(1),
+                    Op::Barrier(1)
+                ],
+            ]
+        );
+    }
+
+    #[test]
+    fn renumber_sync_rejects_differing_barrier_sequences() {
+        let base = vec![Op::Barrier(0), Op::Compute(1), Op::Barrier(1)];
+        let mut swapped = vec![
+            base.clone(),
+            base.clone(),
+            vec![Op::Barrier(1), Op::Barrier(0)],
+        ];
+        let (i, why) = renumber_sync(&mut swapped).unwrap_err();
+        assert_eq!(i, 2);
+        assert!(why.contains("barrier #1"), "{why}");
+        let mut short = vec![base.clone(), vec![Op::Barrier(0)]];
+        let (i, why) = renumber_sync(&mut short).unwrap_err();
+        assert_eq!(i, 1);
+        assert!(why.contains("crosses 1 barriers"), "{why}");
+        // Nothing was renumbered on the error path.
+        assert_eq!(short[0], base);
     }
 
     #[test]

@@ -11,7 +11,7 @@ use std::time::Instant;
 
 use desim::{EventQueue, FifoServer, SlottedServer, Xoshiro256StarStar};
 use memsys::{Cache, CacheCfg};
-use netcache_apps::{AppId, Op, OpStream, Workload};
+use netcache_apps::{AppId, MacroOp, Op, OpStream, Workload};
 use netcache_core::{run_app, Arch, RingCache, RingConfig, SysConfig};
 use optics::RingGeometry;
 
@@ -155,11 +155,12 @@ fn bench_ring() {
     });
 }
 
-/// The event-elision fast path's substrate: walk a `peek_run` slice of
-/// private-hitting ops, probing L1/L2 with the hit-only `read_hit` and
-/// folding compute cycles inline — the per-op cost that replaced a
-/// schedule/pop/dispatch round per op. One iter consumes a full run of up
-/// to 1024 ops, so divide ns/iter by ~1024 for the per-elided-op cost.
+/// The event-elision fast path's substrate: walk the leading `One`s of a
+/// `macro_run` slice of private-hitting ops, probing the L1 with the
+/// hit-only `read_hit` and folding compute cycles inline — the per-op
+/// cost that replaced a schedule/pop/dispatch round per op. One iter
+/// consumes a full run of up to 1024 ops, so divide ns/iter by ~1024 for
+/// the per-elided-op cost.
 fn bench_elide_private_run() {
     // A resident working set: 64 blocks touched round-robin, far under
     // the 16 KB L1, so after warm-up every probe is an L1 hit (the case
@@ -181,13 +182,14 @@ fn bench_elide_private_run() {
     let mut now = 0u64;
     let mut busy = 0u64;
     bench("elide_private_run", 200, || {
-        let run = stream.peek_run();
+        let run = stream.macro_run();
         if run.is_empty() {
             stream = OpStream::from_ops(pattern.clone());
             return;
         }
         let mut taken = 0usize;
-        for &op in run {
+        for m in run {
+            let MacroOp::One(op) = *m else { break };
             match op {
                 Op::Compute(n) => {
                     now += n as u64;
@@ -204,7 +206,7 @@ fn bench_elide_private_run() {
             }
             taken += 1;
         }
-        stream.consume(taken);
+        stream.consume_ones(taken);
         black_box((now, busy));
     });
 }

@@ -2,7 +2,7 @@
 //! producing per-processor op streams, measured both through the native
 //! macro-op cursor (what the engine's elision path consumes) and through
 //! the scalar iterator (one `Op` at a time, the pre-macro interface).
-//! The gap between the two is the payoff of keeping runs and nests
+//! The gap between the two is the payoff of keeping loop nests
 //! compressed from generator to engine instead of scalarizing at the
 //! source.
 //!
@@ -42,16 +42,16 @@ fn bench(name: &str, budget_ms: u64, mut f: impl FnMut()) {
     println!("{name:<28} {ns:>12.1} ns/iter ({iters} iters)");
 }
 
-/// Drains a stream through the macro cursor without scalarizing: runs
-/// and nests are consumed whole, the way the engine's bulk path does.
-/// Returns the scalar op count the stream stood for.
+/// Drains a stream through the macro cursor without scalarizing: nests
+/// are consumed whole, the way the engine's bulk path does. Returns the
+/// scalar op count the stream stood for.
 fn drain_macro(s: &mut OpStream) -> u64 {
     let mut ops = 0u64;
     loop {
         enum Step {
             End,
             Ones(usize),
-            Iters { rem: u64, per: u64 },
+            Nest { rem: u64, len: u64 },
         }
         let it = s.cur_iter();
         let step = {
@@ -63,17 +63,12 @@ fn drain_macro(s: &mut OpStream) -> u64 {
                         .take_while(|m| matches!(m, MacroOp::One(_)))
                         .count(),
                 ),
-                Some(
-                    &MacroOp::ComputeRun { n, .. }
-                    | &MacroOp::ReadRun { n, .. }
-                    | &MacroOp::WriteRun { n, .. },
-                ) => Step::Iters {
-                    rem: n - it,
-                    per: 1,
-                },
-                Some(MacroOp::Nest(nest)) => Step::Iters {
+                // This drain consumes every nest whole (`it` is 0), so
+                // `ops_len` counts it exactly, masked `WriteIf` slots
+                // included.
+                Some(m @ MacroOp::Nest(nest)) => Step::Nest {
                     rem: nest.n() - it,
-                    per: nest.slots().len() as u64,
+                    len: m.ops_len(),
                 },
             }
         };
@@ -83,9 +78,9 @@ fn drain_macro(s: &mut OpStream) -> u64 {
                 s.consume_ones(k);
                 ops += k as u64;
             }
-            Step::Iters { rem, per } => {
+            Step::Nest { rem, len } => {
                 s.consume_iters(rem);
-                ops += rem * per;
+                ops += len;
             }
         }
     }
@@ -116,8 +111,8 @@ fn bench_app(app: AppId) {
 }
 
 fn main() {
-    // One nest-heavy app (wf: masked write-if bodies), one run-heavy
-    // (sor: long strided sweeps), one scatter-heavy (radix: mostly
+    // One nest-heavy app with masked write-if bodies (wf), one with
+    // long strided stencil nests (sor), one scatter-heavy (radix: mostly
     // irreducible scalar ops) — the three generator shapes.
     for app in [AppId::Wf, AppId::Sor, AppId::Radix] {
         bench_app(app);

@@ -45,7 +45,7 @@ pub mod sweep;
 pub mod topology;
 
 pub use config::{Arch, ChannelAssoc, Replacement, RingConfig, SysConfig, TopoConfig, TopoKind};
-pub use machine::{run_streams, run_workload, EngineScratch, Machine};
+pub use machine::{run_streams, run_workload, EngineScratch};
 pub use metrics::{NodeStats, RunReport};
 pub use proto::{Node, ProtoCounters, Protocol, ReadKind};
 pub use ring::{RingCache, RingLookup, RingStats};

@@ -1,6 +1,6 @@
 //! The execution-driven simulation back-end.
 //!
-//! [`Machine`] marries the workload front-end (per-processor [`Op`]
+//! The machine marries the workload front-end (per-processor [`Op`]
 //! streams) to a [`Protocol`] (interconnect + coherence) over a set of
 //! [`Node`]s (caches, write buffer, memory). It is the moral equivalent of
 //! the paper's MINT back-end:
@@ -24,7 +24,7 @@ use netcache_apps::{MacroOp, Nest, Op, OpStream, Slot, Workload};
 
 use crate::config::SysConfig;
 use crate::metrics::{NodeStats, RunReport};
-use crate::proto::{self, ElisionPolicy, Node, Protocol, ReadKind};
+use crate::proto::{Node, Protocol, ReadKind};
 
 /// Cap on how far a processor may run ahead within one event, to keep
 /// cross-processor resource contention honest.
@@ -103,7 +103,9 @@ struct ElideEnv<'a> {
     pace: u64,
     retiring: bool,
     p: usize,
-    policy: ElisionPolicy,
+    /// Reads that hit node-private state may retire inline (see
+    /// [`Machine::read_hits`]).
+    read_hits: bool,
     /// Batch segmentation granularity: the finest private line size
     /// (L1 lines may be smaller than the coherence block), so a segment
     /// never spans two L1 lines and one probe speaks for every address.
@@ -114,18 +116,18 @@ impl ElideEnv<'_> {
     /// Applies one scalar op exactly as the general path would, for the
     /// elision-safe classes. Returns `false` — with *nothing* mutated —
     /// when the op must go to the general path instead: a sync op, a
-    /// policy-rejected class, a read missing all node-private state, or
-    /// a write that would stall.
+    /// read under a set-associative private cache, a read missing all
+    /// node-private state, or a write that would stall.
     #[inline]
     fn apply(&mut self, op: Op, now: &mut Time) -> bool {
         match op {
-            Op::Compute(n) if self.policy.compute => {
+            Op::Compute(n) => {
                 let scaled = (n as Time * self.pace).div_ceil(100);
                 *now += scaled;
                 self.st.busy += scaled;
                 true
             }
-            Op::Read(addr) if self.policy.private_read_hits => {
+            Op::Read(addr) if self.read_hits => {
                 if self.node.l1.read_hit(addr) {
                     self.st.reads += 1;
                     self.st.l1_hits += 1;
@@ -151,7 +153,7 @@ impl ElideEnv<'_> {
                 }
                 true
             }
-            Op::Write(addr) if self.policy.wb_pushes => {
+            Op::Write(addr) => {
                 let block = self.map.block_of(addr);
                 if self.node.wb.is_full() && !self.node.wb.holds_block(block) {
                     // Would stall; the general path pushes (counting the
@@ -176,22 +178,20 @@ impl ElideEnv<'_> {
                 }
                 true
             }
-            // Sync ops (and any class the policy rejects): general path.
+            // Sync ops (and gated reads): general path.
             _ => false,
         }
     }
 
     /// Iterations of an affine walk from `a` with step `stride` that stay
-    /// inside `a`'s finest private line (`seg_bytes`), capped at `rem`.
-    /// A zero stride never leaves the line. L1 lines nest inside L2
-    /// blocks, so a segment also stays within one coherence block and one
-    /// write-buffer entry.
+    /// inside `a`'s aligned `span` (a power of two), capped at `rem`. A
+    /// zero stride never leaves the span.
     #[inline]
-    fn seg_iters(&self, a: Addr, stride: u64, rem: u64) -> u64 {
+    fn span_iters(a: Addr, stride: u64, rem: u64, span: u64) -> u64 {
         if stride == 0 {
             return rem;
         }
-        let gap = self.seg_bytes - (a & (self.seg_bytes - 1));
+        let gap = span - (a & (span - 1));
         let iters = if stride.is_power_of_two() {
             (gap + stride - 1) >> stride.trailing_zeros()
         } else {
@@ -200,24 +200,22 @@ impl ElideEnv<'_> {
         iters.min(rem)
     }
 
-    /// [`seg_iters`](Self::seg_iters) at coherence-block granularity:
-    /// iterations of the walk that stay inside `a`'s block, capped at
-    /// `rem`. One write-buffer entry (and one L2 tag) covers the span;
-    /// the L1 lines inside it need no individual stamp refreshes because
-    /// elision only runs on direct-mapped caches, where stamps never
-    /// influence a victim choice.
+    /// [`span_iters`](Self::span_iters) inside `a`'s finest private line
+    /// (`seg_bytes`). L1 lines nest inside L2 blocks, so a segment also
+    /// stays within one coherence block and one write-buffer entry.
+    #[inline]
+    fn seg_iters(&self, a: Addr, stride: u64, rem: u64) -> u64 {
+        Self::span_iters(a, stride, rem, self.seg_bytes)
+    }
+
+    /// [`span_iters`](Self::span_iters) inside `a`'s coherence block: one
+    /// write-buffer entry (and one L2 tag) covers the span; the L1 lines
+    /// inside it need no individual stamp refreshes because elision only
+    /// batches on direct-mapped caches, where stamps never influence a
+    /// victim choice.
     #[inline]
     fn blk_iters(&self, a: Addr, stride: u64, rem: u64) -> u64 {
-        if stride == 0 {
-            return rem;
-        }
-        let gap = self.map.block_bytes - (a & (self.map.block_bytes - 1));
-        let iters = if stride.is_power_of_two() {
-            (gap + stride - 1) >> stride.trailing_zeros()
-        } else {
-            gap.div_ceil(stride)
-        };
-        iters.min(rem)
+        Self::span_iters(a, stride, rem, self.map.block_bytes)
     }
 
     /// Commits a batch of `w` same-block writes whose buffer entry
@@ -239,8 +237,8 @@ impl ElideEnv<'_> {
 /// Reusable cross-run allocations. A sweep runs thousands of machines
 /// back to back; the event queue's timing wheel is the one allocation
 /// worth carrying over (slot buffers, occupancy bitmap, overflow heap).
-/// Hand one scratch per worker thread to [`Machine::with_scratch`] and
-/// recover it with [`Machine::run_reusing`].
+/// Hand one scratch per worker thread to every [`run_streams`] or
+/// [`run_workload`] call it makes.
 #[derive(Default)]
 pub struct EngineScratch {
     /// A reset queue from a completed run, warm capacity intact.
@@ -256,12 +254,10 @@ impl EngineScratch {
 
 /// A configured machine ready to run one workload.
 ///
-/// Generic over the protocol type: the default instantiation
-/// (`Machine<Box<dyn Protocol>>`, what [`Machine::new`] and friends
-/// build) picks the protocol at run time; [`run_streams`] instantiates
-/// the machine at each concrete protocol type so the event loop and the
-/// write-buffer retirement monomorphize — no virtual dispatch per event.
-pub struct Machine<P: Protocol = Box<dyn Protocol>> {
+/// Generic over the protocol type: [`run_streams`] instantiates it once
+/// per built-in protocol, so the event loop and the write-buffer
+/// retirement monomorphize — no virtual dispatch per event.
+struct Machine<P: Protocol> {
     cfg: SysConfig,
     map: AddressMap,
     queue: EventQueue<Event>,
@@ -276,9 +272,15 @@ pub struct Machine<P: Protocol = Box<dyn Protocol>> {
     /// Per processor: a WbKick event is already scheduled.
     kick_pending: Vec<bool>,
     live: usize,
-    /// Which op classes the protocol + geometry allow the elided fast
-    /// path to retire (see [`Machine::elide_run`]).
-    elide: ElisionPolicy,
+    /// Reads that hit node-private state may retire inside elided runs
+    /// (see [`Machine::elide_run`]). A read-hit probe skips the LRU/miss
+    /// bookkeeping a canonical access performs; that is unobservable only
+    /// when replacement never has a choice, i.e. both private caches are
+    /// direct-mapped. Compute and non-stalling write-buffer pushes are
+    /// always elidable: every protocol applies a peer's coherence actions
+    /// to this node's caches at the peer's own retirement event, so a
+    /// node-local probe sees what an event-by-event execution would.
+    read_hits: bool,
     /// Ops retired across all processors (any path).
     ops_done: u64,
     /// Ops retired inside elided runs.
@@ -287,75 +289,9 @@ pub struct Machine<P: Protocol = Box<dyn Protocol>> {
     sharers: SharerMap,
 }
 
-impl Machine<Box<dyn Protocol>> {
-    /// Builds a machine and loads the workload's streams.
-    ///
-    /// # Panics
-    /// If the configuration fails validation or the workload wants more
-    /// processors than the machine has.
-    pub fn new(cfg: &SysConfig, workload: &Workload) -> Self {
-        let map = AddressMap::new(cfg.nodes, cfg.l2.block_bytes);
-        let streams = workload.streams(&map);
-        Self::with_streams(cfg, streams)
-    }
-
-    /// Like [`Machine::new`], but reuses allocations parked in `scratch`
-    /// by a previous [`Machine::run_reusing`] call — the sweep engine's
-    /// per-worker fast path.
-    pub fn new_with_scratch(
-        cfg: &SysConfig,
-        workload: &Workload,
-        scratch: &mut EngineScratch,
-    ) -> Self {
-        let map = AddressMap::new(cfg.nodes, cfg.l2.block_bytes);
-        let streams = workload.streams(&map);
-        Self::with_scratch(cfg, streams, scratch)
-    }
-
-    /// Builds a machine around caller-provided operation streams — the
-    /// extension point for workloads beyond the built-in twelve. Streams
-    /// must obey the front-end contract: identical barrier sequences on
-    /// every processor and properly nested lock pairs.
-    ///
-    /// ```
-    /// use netcache_core::{Arch, Machine, SysConfig};
-    /// use netcache_apps::Op;
-    ///
-    /// let cfg = SysConfig::base(Arch::NetCache).with_nodes(2);
-    /// let streams = (0..2)
-    ///     .map(|p| {
-    ///         let base = memsys::addr::SHARED_BASE + p * 64;
-    ///         netcache_apps::OpStream::lazy(
-    ///             (0..100u64)
-    ///                 .flat_map(move |i| [Op::Compute(5), Op::Read(base + i * 64)])
-    ///                 .chain([Op::Barrier(0)]),
-    ///         )
-    ///     })
-    ///     .collect();
-    /// let report = Machine::with_streams(&cfg, streams).run();
-    /// assert!(report.cycles > 0);
-    /// ```
-    pub fn with_streams(cfg: &SysConfig, streams: Vec<OpStream>) -> Self {
-        Self::with_scratch(cfg, streams, &mut EngineScratch::new())
-    }
-
-    /// Like [`Machine::with_streams`], but reuses allocations parked in
-    /// `scratch` by a previous [`Machine::run_reusing`] call.
-    pub fn with_scratch(
-        cfg: &SysConfig,
-        streams: Vec<OpStream>,
-        scratch: &mut EngineScratch,
-    ) -> Self {
-        Self::with_proto(cfg, streams, proto::build, scratch)
-    }
-}
-
 impl<P: Protocol> Machine<P> {
-    /// The shared constructor: builds a machine around `build`'s protocol
-    /// value, reusing the event queue parked in `scratch` when available.
-    /// The protocol type is whatever `build` returns — a concrete
-    /// protocol for the monomorphized entry points, `Box<dyn Protocol>`
-    /// for the run-time-dispatch ones.
+    /// Builds a machine around `build`'s protocol value, reusing the
+    /// event queue parked in `scratch` when available.
     fn with_proto(
         cfg: &SysConfig,
         streams: Vec<OpStream>,
@@ -393,50 +329,33 @@ impl<P: Protocol> Machine<P> {
         for p in 0..n {
             queue.schedule(0, Event::Resume(p));
         }
-        let proto = build(cfg, map);
-        let mut elide = proto.elision_policy();
-        // Read-hit probes skip the LRU/miss bookkeeping a canonical miss
-        // performs; that is unobservable only when replacement never has a
-        // choice, i.e. both private caches are direct-mapped.
-        elide.private_read_hits &= cfg.l1.assoc == 1 && cfg.l2.assoc == 1;
         Self {
             cfg: *cfg,
             map,
             queue,
             procs,
             nodes: (0..cfg.nodes).map(|_| Node::new(cfg)).collect(),
-            proto,
+            proto: build(cfg, map),
             locks: Vec::new(),
             barriers: Vec::new(),
             stats: vec![NodeStats::default(); n],
             kick_pending: vec![false; n],
             live: n,
-            elide,
+            read_hits: cfg.l1.assoc == 1 && cfg.l2.assoc == 1,
             ops_done: 0,
             elided: 0,
             sharers: SharerMap::new(),
         }
     }
 
-    /// Runs to completion and returns the report.
+    /// Runs to completion, parking the reusable event queue in `scratch`
+    /// for the caller's next run.
     ///
     /// # Panics
     /// On deadlock (no events pending while processors are blocked) — which
     /// would indicate a malformed workload (mismatched barriers) or a
     /// simulator bug.
-    pub fn run(self) -> RunReport {
-        self.run_inner().0
-    }
-
-    /// Runs to completion, parking the reusable allocations in `scratch`
-    /// for the caller's next [`Machine::with_scratch`].
-    pub fn run_reusing(self, scratch: &mut EngineScratch) -> RunReport {
-        let (report, queue) = self.run_inner();
-        scratch.queue = Some(queue);
-        report
-    }
-
-    fn run_inner(mut self) -> (RunReport, EventQueue<Event>) {
+    fn run(mut self, scratch: &mut EngineScratch) -> RunReport {
         let t0 = Instant::now();
         while let Some((_, ev)) = self.queue.pop() {
             match ev {
@@ -481,7 +400,8 @@ impl<P: Protocol> Machine<P> {
             wall_ns,
         };
         self.queue.reset();
-        (report, self.queue)
+        scratch.queue = Some(self.queue);
+        report
     }
 
     /// True once `p` may pass a release-consistency fence.
@@ -637,15 +557,14 @@ impl<P: Protocol> Machine<P> {
     /// (the slice cap).
     ///
     /// Beyond the scalar per-op path ([`ElideEnv::apply`]), this walks the
-    /// stream's *macro* form: an affine `ReadRun`/`WriteRun`/`Nest` that
-    /// stays inside node-private state retires in O(lines touched) — one
-    /// cache or buffer probe per distinct private line — instead of
-    /// O(ops). The batched commits reproduce the scalar mutations to the
-    /// bit: counters and local time are additive, and same-line run
-    /// probes leave the final LRU stamp and dirty bits identical to the
-    /// per-op loop. Any op the batch analysis cannot prove safe falls
-    /// back to the scalar path, which bails to the general path exactly
-    /// where the per-op engine did.
+    /// stream's *macro* form: a [`Nest`] that stays inside node-private
+    /// state retires in O(lines touched) — one cache or buffer probe per
+    /// distinct private line — instead of O(ops). The batched commits
+    /// reproduce the scalar mutations to the bit: counters and local time
+    /// are additive, and same-line run probes leave the final LRU stamp
+    /// and dirty bits identical to the per-op loop. Any op the batch
+    /// analysis cannot prove safe falls back to the scalar path, which
+    /// bails to the general path exactly where the per-op engine did.
     fn elide_run(&mut self, p: usize, now: &mut Time, deadline: Time) {
         // The nest is copied out of the stream borrow on purpose: the
         // retirement loop below consumes the stream mutably, and one
@@ -660,20 +579,6 @@ impl<P: Protocol> Machine<P> {
                 k: usize,
                 bail: bool,
             },
-            CRun {
-                cost: u32,
-                rem: u64,
-            },
-            RRun {
-                a: Addr,
-                stride: u64,
-                rem: u64,
-            },
-            WRun {
-                a: Addr,
-                stride: u64,
-                rem: u64,
-            },
             Nested(Nest),
         }
         let Machine {
@@ -684,7 +589,7 @@ impl<P: Protocol> Machine<P> {
             kick_pending,
             map,
             cfg,
-            elide,
+            read_hits,
             ops_done,
             elided,
             ..
@@ -702,7 +607,7 @@ impl<P: Protocol> Machine<P> {
             // fires from the event queue, which we are not touching.
             retiring: proc.retiring,
             p,
-            policy: *elide,
+            read_hits: *read_hits,
             seg_bytes: cfg.l1.block_bytes.min(map.block_bytes),
         };
         let stream = &mut proc.stream;
@@ -756,20 +661,6 @@ impl<P: Protocol> Machine<P> {
                         }
                         Head::Ones { k, bail }
                     }
-                    Some(&MacroOp::ComputeRun { cost, n }) => Head::CRun {
-                        cost,
-                        rem: n - iter,
-                    },
-                    Some(&MacroOp::ReadRun { base, stride, n }) => Head::RRun {
-                        a: base + iter * stride,
-                        stride,
-                        rem: n - iter,
-                    },
-                    Some(&MacroOp::WriteRun { base, stride, n }) => Head::WRun {
-                        a: base + iter * stride,
-                        stride,
-                        rem: n - iter,
-                    },
                     Some(MacroOp::Nest(nest)) => Head::Nested(**nest),
                 }
             };
@@ -782,135 +673,11 @@ impl<P: Protocol> Machine<P> {
                         break 'run;
                     }
                 }
-                Head::CRun { cost, rem } => {
-                    if !env.policy.compute {
-                        break 'run;
-                    }
-                    let scaled = (cost as Time * env.pace).div_ceil(100);
-                    // Ops retire while their pre-op time is <= deadline,
-                    // so (deadline - now)/scaled + 1 of them fit.
-                    let k = rem.min((deadline - *now) / scaled + 1);
-                    *now += k * scaled;
-                    env.st.busy += k * scaled;
-                    stream.consume_iters(k);
-                    done += k;
-                    if *now > deadline {
-                        break 'run;
-                    }
-                }
-                Head::RRun {
-                    mut a,
-                    stride,
-                    mut rem,
-                } => {
-                    if !env.policy.private_read_hits {
-                        break 'run;
-                    }
-                    let mut taken = 0u64;
-                    let mut missed = false;
-                    while rem > 0 && *now <= deadline {
-                        let seg = env.seg_iters(a, stride, rem);
-                        let k_l1 = seg.min(deadline - *now + 1);
-                        let k = if env.node.l1.read_hit_run(a, k_l1) {
-                            env.st.reads += k_l1;
-                            env.st.l1_hits += k_l1;
-                            env.st.busy += k_l1;
-                            *now += k_l1;
-                            k_l1
-                        } else if env.node.l2.read_hit(a) {
-                            // One scalar op; its L1 fill promotes the rest
-                            // of the line for the next round.
-                            env.st.reads += 1;
-                            env.st.l2_hits += 1;
-                            env.node.l1.fill(a, false);
-                            env.st.busy += 1;
-                            env.st.read_stall += env.l2_lat - 1;
-                            *now += env.l2_lat;
-                            1
-                        } else if env.node.wb.holds_block(env.map.block_of(a)) {
-                            let k = seg.min((deadline - *now) / 2 + 1);
-                            env.st.reads += k;
-                            env.st.wb_forwards += k;
-                            env.st.busy += k;
-                            env.st.read_stall += k;
-                            *now += 2 * k;
-                            k
-                        } else {
-                            missed = true;
-                            break;
-                        };
-                        taken += k;
-                        rem -= k;
-                        a += k * stride;
-                    }
-                    stream.consume_iters(taken);
-                    done += taken;
-                    if missed || rem > 0 {
-                        break 'run;
-                    }
-                }
-                Head::WRun {
-                    mut a,
-                    stride,
-                    mut rem,
-                } => {
-                    if !env.policy.wb_pushes {
-                        break 'run;
-                    }
-                    let mut taken = 0u64;
-                    let mut full = false;
-                    while rem > 0 && *now <= deadline {
-                        // Batch at coherence-block granularity: one buffer
-                        // entry covers the span (L1 stamp order inside it
-                        // is unobservable on direct-mapped caches).
-                        let seg = env.blk_iters(a, stride, rem);
-                        // The block's first write goes through the exact
-                        // scalar arm: the full-buffer bail and the kick
-                        // scheduling live there.
-                        if !env.apply(Op::Write(a), now) {
-                            full = true;
-                            break;
-                        }
-                        taken += 1;
-                        rem -= 1;
-                        a += stride;
-                        if *now > deadline {
-                            break;
-                        }
-                        // The rest of the segment coalesces onto the entry
-                        // that push created (or found).
-                        let k = (seg - 1).min(rem).min(deadline - *now + 1);
-                        if k > 0 {
-                            let mut mask = 0u32;
-                            if stride == 0 {
-                                mask = 1 << env.map.word_in_block(a);
-                            } else {
-                                for i in 0..k {
-                                    mask |= 1 << env.map.word_in_block(a + i * stride);
-                                }
-                            }
-                            let idx = env
-                                .node
-                                .wb
-                                .find_block(env.map.block_of(a))
-                                .expect("push left a live entry");
-                            env.commit_coalesced(idx, a, mask, k, now);
-                            taken += k;
-                            rem -= k;
-                            a += k * stride;
-                        }
-                    }
-                    stream.consume_iters(taken);
-                    done += taken;
-                    if full || rem > 0 {
-                        break 'run;
-                    }
-                }
                 Head::Nested(nest) => {
-                    if !(env.policy.compute && env.policy.private_read_hits && env.policy.wb_pushes)
-                    {
-                        // Mixed bodies want the full policy; the general
-                        // path retires them op by op.
+                    if !env.read_hits {
+                        // The batch verifies reads by probe; without the
+                        // read-hit gate the general path retires the nest
+                        // op by op.
                         break 'run;
                     }
                     let n = nest.n();
@@ -1391,11 +1158,38 @@ fn schedule_clamped(queue: &mut EventQueue<Event>, at: Time, ev: Event) {
 
 /// Runs `streams` on a machine whose protocol type is chosen statically
 /// from `cfg.arch`: the event loop, the write-buffer retirement, and every
-/// protocol call inside them monomorphize per protocol, so the per-event
-/// virtual dispatch of the `Box<dyn Protocol>` path disappears. This is
-/// the engine entry point for all built-in runs (`run_app`, sweeps, the
-/// benchmark grid); [`Machine::with_streams`] and friends remain for
-/// callers plugging in custom protocols.
+/// protocol call inside them monomorphize per protocol — no per-event
+/// virtual dispatch. This is the engine's one entry point: `run_app`,
+/// sweeps, trace replay and custom workloads all come through here, and
+/// `scratch` carries the event queue's allocations from run to run.
+///
+/// Caller-provided streams are the extension point for workloads beyond
+/// the built-in twelve. They must obey the front-end contract: identical
+/// barrier sequences on every processor and properly nested lock pairs.
+///
+/// ```
+/// use netcache_core::{run_streams, Arch, EngineScratch, SysConfig};
+/// use netcache_apps::Op;
+///
+/// let cfg = SysConfig::base(Arch::NetCache).with_nodes(2);
+/// let streams = (0..2)
+///     .map(|p| {
+///         let base = memsys::addr::SHARED_BASE + p * 64;
+///         netcache_apps::OpStream::lazy(
+///             (0..100u64)
+///                 .flat_map(move |i| [Op::Compute(5), Op::Read(base + i * 64)])
+///                 .chain([Op::Barrier(0)]),
+///         )
+///     })
+///     .collect();
+/// let report = run_streams(&cfg, streams, &mut EngineScratch::new());
+/// assert!(report.cycles > 0);
+/// ```
+///
+/// # Panics
+/// If the configuration fails [`SysConfig::validate`], if there are no
+/// streams or more streams than nodes, or on a deadlock (streams that
+/// break the barrier contract).
 pub fn run_streams(
     cfg: &SysConfig,
     streams: Vec<OpStream>,
@@ -1405,13 +1199,11 @@ pub fn run_streams(
     use crate::proto::{DmonI, DmonU, LambdaNet, NetCacheProto};
     match cfg.arch {
         Arch::NetCache => {
-            Machine::with_proto(cfg, streams, NetCacheProto::new, scratch).run_reusing(scratch)
+            Machine::with_proto(cfg, streams, NetCacheProto::new, scratch).run(scratch)
         }
-        Arch::LambdaNet => {
-            Machine::with_proto(cfg, streams, LambdaNet::new, scratch).run_reusing(scratch)
-        }
-        Arch::DmonU => Machine::with_proto(cfg, streams, DmonU::new, scratch).run_reusing(scratch),
-        Arch::DmonI => Machine::with_proto(cfg, streams, DmonI::new, scratch).run_reusing(scratch),
+        Arch::LambdaNet => Machine::with_proto(cfg, streams, LambdaNet::new, scratch).run(scratch),
+        Arch::DmonU => Machine::with_proto(cfg, streams, DmonU::new, scratch).run(scratch),
+        Arch::DmonI => Machine::with_proto(cfg, streams, DmonI::new, scratch).run(scratch),
     }
 }
 
@@ -1435,7 +1227,7 @@ mod tests {
     fn run(arch: Arch, app: AppId, procs: usize, scale: f64) -> RunReport {
         let cfg = SysConfig::base(arch).with_nodes(procs.max(1));
         let wl = Workload::new(app, procs).scale(scale);
-        Machine::new(&cfg, &wl).run()
+        run_workload(&cfg, &wl, &mut EngineScratch::new())
     }
 
     #[test]
@@ -1531,7 +1323,8 @@ mod tests {
     }
 
     fn custom(cfg: &SysConfig, streams: Vec<Vec<Op>>) -> RunReport {
-        Machine::with_streams(cfg, streams.into_iter().map(OpStream::from_ops).collect()).run()
+        let streams = streams.into_iter().map(OpStream::from_ops).collect();
+        run_streams(cfg, streams, &mut EngineScratch::new())
     }
 
     #[test]

@@ -26,7 +26,7 @@ use desim::Time;
 use memsys::{Addr, AddressMap, BlockAddr, WriteEntry};
 
 use super::dmon_u::DmonChannels;
-use super::{ElisionPolicy, Node, ProtoCounters, Protocol, ReadKind, ReadResult};
+use super::{Node, ProtoCounters, Protocol, ReadKind, ReadResult};
 use crate::config::{Arch, SysConfig};
 use crate::latency::consts;
 use crate::topology::Topology;
@@ -237,19 +237,6 @@ impl DmonI {
 impl Protocol for DmonI {
     fn arch(&self) -> Arch {
         Arch::DmonI
-    }
-
-    /// Fully elidable even under invalidation: a peer's ownership request
-    /// invalidates this node's copies at the *peer's* retirement event,
-    /// so a line still present at probe time is genuinely readable; the
-    /// directory is consulted only on misses (which always take the
-    /// general path) and on write retirement (event-scheduled).
-    fn elision_policy(&self) -> ElisionPolicy {
-        ElisionPolicy {
-            compute: true,
-            private_read_hits: true,
-            wb_pushes: true,
-        }
     }
 
     fn read_remote(&mut self, nodes: &mut [Node], node: usize, addr: Addr, t: Time) -> ReadResult {

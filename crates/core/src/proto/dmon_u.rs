@@ -17,9 +17,7 @@ use desim::{FifoServer, SlottedServer, Time};
 use memsys::{Addr, AddressMap, WriteEntry};
 use optics::OpticalParams;
 
-use super::{
-    apply_update_to_peers, ElisionPolicy, Node, ProtoCounters, Protocol, ReadKind, ReadResult,
-};
+use super::{apply_update_to_peers, Node, ProtoCounters, Protocol, ReadKind, ReadResult};
 use crate::config::{Arch, SysConfig};
 use crate::latency::consts;
 use crate::topology::{Fabric, LinkCounters, Topology};
@@ -103,18 +101,6 @@ impl DmonU {
 impl Protocol for DmonU {
     fn arch(&self) -> Arch {
         Arch::DmonU
-    }
-
-    /// Fully elidable: like the other update protocols, peer writes are
-    /// pushed into this node's L2/L1 by the writer's retirement event, so
-    /// a local hit observes exactly what event-by-event execution would;
-    /// write-buffer pushes defer all TDMA traffic to retirement.
-    fn elision_policy(&self) -> ElisionPolicy {
-        ElisionPolicy {
-            compute: true,
-            private_read_hits: true,
-            wb_pushes: true,
-        }
     }
 
     fn read_remote(&mut self, nodes: &mut [Node], node: usize, addr: Addr, t: Time) -> ReadResult {

@@ -17,9 +17,7 @@ use desim::{FifoServer, Time};
 use memsys::{Addr, AddressMap, WriteEntry};
 use optics::OpticalParams;
 
-use super::{
-    apply_update_to_peers, ElisionPolicy, Node, ProtoCounters, Protocol, ReadKind, ReadResult,
-};
+use super::{apply_update_to_peers, Node, ProtoCounters, Protocol, ReadKind, ReadResult};
 use crate::config::{Arch, SysConfig};
 use crate::latency::consts;
 use crate::topology::{Fabric, LinkCounters, Topology};
@@ -56,19 +54,6 @@ impl LambdaNet {
 impl Protocol for LambdaNet {
     fn arch(&self) -> Arch {
         Arch::LambdaNet
-    }
-
-    /// Fully elidable: LambdaNet is an update protocol — peer writes
-    /// refresh this node's caches from the writer's own retirement event,
-    /// so local hits are always current and no per-op consultation is
-    /// needed. Pushes into the write buffer carry no network cost until
-    /// their event-scheduled retirement.
-    fn elision_policy(&self) -> ElisionPolicy {
-        ElisionPolicy {
-            compute: true,
-            private_read_hits: true,
-            wb_pushes: true,
-        }
     }
 
     fn read_remote(&mut self, nodes: &mut [Node], node: usize, addr: Addr, t: Time) -> ReadResult {

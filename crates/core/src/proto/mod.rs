@@ -4,7 +4,7 @@
 //! architecture, the protocol state (the ring cache for NetCache, the owner
 //! directory for DMON-I), and the logic that turns a transaction into a
 //! completion time by walking the path and acquiring resources. The
-//! [`Machine`](crate::machine::Machine) owns the nodes (caches, write
+//! machine ([`crate::machine`]) owns the nodes (caches, write
 //! buffers, memory modules) and passes them in by `&mut [Node]` — protocols
 //! mutate *remote* cache state when coherence actions (updates,
 //! invalidations, forwards) hit other nodes.
@@ -22,7 +22,7 @@ pub use netcache::NetCacheProto;
 use crate::config::{Arch, SysConfig};
 use crate::ring::RingStats;
 use desim::time::Time;
-use memsys::{Addr, AddressMap, Cache, CoalescingWriteBuffer, MemoryModule, WriteEntry};
+use memsys::{Addr, Cache, CoalescingWriteBuffer, MemoryModule, WriteEntry};
 
 /// Everything node-local: the paper's node architecture (Fig. 3) minus the
 /// processor itself.
@@ -96,45 +96,19 @@ pub struct ProtoCounters {
     pub remote_l1_invalidates: u64,
 }
 
-/// Which operation classes a protocol certifies as **elision-safe**: ops
-/// the machine may retire inside an inlined private run (event elision)
-/// without a per-op protocol consultation. A class is safe only when the
-/// protocol pushes every coherence action that could affect it into the
-/// node's own structures from the *peer's* event — so a node-local probe
-/// at run time observes exactly what an event-by-event execution would.
-///
-/// Each protocol declares its own policy; the machine takes the
-/// conjunction with its cache-geometry checks before enabling the fast
-/// path. A hypothetical protocol that must see, say, every read hit (a
-/// directory with hit-time access tracking) would clear the matching
-/// flag and only that op class falls back to the general path.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ElisionPolicy {
-    /// `Op::Compute` may accumulate latency locally.
-    pub compute: bool,
-    /// Reads satisfied by the node's own L1/L2/write buffer may retire
-    /// inline (misses always fall back to the general path).
-    pub private_read_hits: bool,
-    /// Writes may push into the coalescing write buffer inline (the
-    /// retirement itself always runs through scheduled events).
-    pub wb_pushes: bool,
-}
-
-impl ElisionPolicy {
-    /// True when every op class is elidable — the full fast path.
-    pub fn all(&self) -> bool {
-        self.compute && self.private_read_hits && self.wb_pushes
-    }
-}
-
 /// The interconnect + coherence protocol interface.
+///
+/// **Elision contract.** The machine retires compute, reads that hit the
+/// node's own L1/L2/write buffer, and non-stalling write-buffer pushes
+/// inline, without consulting the protocol. That is sound because every
+/// protocol applies a peer's coherence actions (update refreshes,
+/// invalidations, forwards) to this node's caches from the *peer's*
+/// event, consults its own state (ring, directory) only on misses and on
+/// event-scheduled write retirement, and charges no network cost for a
+/// push. A protocol that needs to see private hits would break it.
 pub trait Protocol {
     /// Architecture this protocol implements.
     fn arch(&self) -> Arch;
-
-    /// Which op classes this protocol certifies for event elision. No
-    /// default: every protocol must state (and justify) its policy.
-    fn elision_policy(&self) -> ElisionPolicy;
 
     /// A read of shared block `addr` from `node` that missed the L2 and is
     /// homed remotely. `t` is the time the miss leaves the L2 tag check.
@@ -191,52 +165,6 @@ pub trait Protocol {
     }
 }
 
-/// Forwarding impl so `Box<dyn Protocol>` is itself a `Protocol`: the
-/// machine is generic over its protocol type (`Machine<P: Protocol>`),
-/// and the boxed form is the default instantiation for callers that pick
-/// the protocol at run time (or plug in their own). The per-arch entry
-/// points in [`crate::machine::run_streams`] instantiate the machine at
-/// each concrete protocol type instead, so the event loop devirtualizes.
-impl Protocol for Box<dyn Protocol> {
-    fn arch(&self) -> Arch {
-        (**self).arch()
-    }
-    fn elision_policy(&self) -> ElisionPolicy {
-        (**self).elision_policy()
-    }
-    fn read_remote(&mut self, nodes: &mut [Node], node: usize, addr: Addr, t: Time) -> ReadResult {
-        (**self).read_remote(nodes, node, addr, t)
-    }
-    fn retire_shared_write(
-        &mut self,
-        nodes: &mut [Node],
-        node: usize,
-        entry: &WriteEntry,
-        t: Time,
-        sharers: u64,
-    ) -> Time {
-        (**self).retire_shared_write(nodes, node, entry, t, sharers)
-    }
-    fn sync_broadcast(&mut self, node: usize, t: Time) -> Time {
-        (**self).sync_broadcast(node, t)
-    }
-    fn evicted_l2(&mut self, nodes: &mut [Node], node: usize, block: u64, dirty: bool, t: Time) {
-        (**self).evicted_l2(nodes, node, block, dirty, t)
-    }
-    fn ring_stats(&self) -> Option<RingStats> {
-        (**self).ring_stats()
-    }
-    fn counters(&self) -> &ProtoCounters {
-        (**self).counters()
-    }
-    fn channel_report(&self) -> Vec<(String, u64, u64, f64)> {
-        (**self).channel_report()
-    }
-    fn link_report(&self) -> Vec<(String, u64, u64)> {
-        (**self).link_report()
-    }
-}
-
 /// Applies an update's side effects at every node other than the writer
 /// (update protocols, §4.1): refresh the L2 copy in place, invalidate the
 /// L1 copy.
@@ -264,15 +192,5 @@ pub(crate) fn apply_update_to_peers(
         if n.l1.invalidate(addr).is_some() {
             counters.remote_l1_invalidates += 1;
         }
-    }
-}
-
-/// Builds the protocol object for a configuration.
-pub fn build(cfg: &SysConfig, map: AddressMap) -> Box<dyn Protocol> {
-    match cfg.arch {
-        Arch::NetCache => Box::new(NetCacheProto::new(cfg, map)),
-        Arch::LambdaNet => Box::new(LambdaNet::new(cfg, map)),
-        Arch::DmonU => Box::new(DmonU::new(cfg, map)),
-        Arch::DmonI => Box::new(DmonI::new(cfg, map)),
     }
 }

@@ -22,9 +22,7 @@ use desim::{FifoServer, SlottedServer, Time};
 use memsys::{Addr, AddressMap, WriteEntry};
 use optics::OpticalParams;
 
-use super::{
-    apply_update_to_peers, ElisionPolicy, Node, ProtoCounters, Protocol, ReadKind, ReadResult,
-};
+use super::{apply_update_to_peers, Node, ProtoCounters, Protocol, ReadKind, ReadResult};
 use crate::config::{Arch, SysConfig};
 use crate::latency::consts;
 use crate::ring::{RingCache, RingLookup, RingStats};
@@ -105,20 +103,6 @@ impl NetCacheProto {
 impl Protocol for NetCacheProto {
     fn arch(&self) -> Arch {
         Arch::NetCache
-    }
-
-    /// Every op class is elision-safe under NetCache: updates from peers
-    /// refresh this node's L2 and invalidate its L1 at the *writer's*
-    /// retirement event (`apply_update_to_peers`), and ring/home state is
-    /// only consulted on misses — so a private hit needs no protocol
-    /// check, and a write-buffer push defers all traffic to the
-    /// event-scheduled retirement.
-    fn elision_policy(&self) -> ElisionPolicy {
-        ElisionPolicy {
-            compute: true,
-            private_read_hits: true,
-            wb_pushes: true,
-        }
     }
 
     fn read_remote(&mut self, nodes: &mut [Node], node: usize, addr: Addr, t: Time) -> ReadResult {

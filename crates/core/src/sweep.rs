@@ -3,8 +3,8 @@
 //! The paper's evaluation is a grid: (architecture × application ×
 //! machine parameters), 4 × 12 cells for Fig. 6 alone, plus the §5.3
 //! ablation sweeps. Every cell is one independent, deterministic
-//! [`Machine::run`] — no shared state, no ordering constraint — so the
-//! grid parallelizes embarrassingly well across host cores (the same
+//! [`run_workload`] call — no shared state, no ordering constraint — so
+//! the grid parallelizes embarrassingly well across host cores (the same
 //! observation Kumar & Sahu make for bufferless-NOC simulation on GPUs).
 //!
 //! This module is the one substrate all experiment drivers go through:
@@ -256,8 +256,19 @@ impl SweepSpec {
     ///
     /// # Panics
     /// If the app axis is empty or a generated configuration fails
-    /// [`SysConfig::validate`].
+    /// [`SysConfig::validate`] (see [`try_build`](Self::try_build)).
     pub fn build(self) -> Sweep {
+        self.try_build()
+            .unwrap_or_else(|e| panic!("sweep produced invalid config: {e}"))
+    }
+
+    /// [`build`](Self::build), returning the first generated
+    /// configuration's [`SysConfig::validate`] error instead of panicking
+    /// (for callers that turn machine flags into a grid).
+    ///
+    /// # Panics
+    /// If the app axis is empty.
+    pub fn try_build(self) -> Result<Sweep, String> {
         assert!(!self.apps.is_empty(), "sweep needs at least one app");
         let scales: Vec<f64> = if self.scale_for.is_some() {
             vec![f64::NAN] // placeholder; replaced per app below
@@ -298,7 +309,7 @@ impl SweepSpec {
                                         cfg = cfg.with_mem_latency(lat);
                                     }
                                     cfg = cfg.with_topology(kind).with_rings(rings);
-                                    cfg.validate().expect("sweep produced invalid config");
+                                    cfg.validate()?;
                                     let scale = match self.scale_for {
                                         Some(f) => f(app),
                                         None => scale,
@@ -311,7 +322,7 @@ impl SweepSpec {
                 }
             }
         }
-        Sweep { points }
+        Ok(Sweep { points })
     }
 }
 

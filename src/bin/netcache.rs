@@ -39,11 +39,11 @@ use std::fmt::Display;
 use std::io::{ErrorKind, Write as _};
 use std::process::exit;
 
-use netcache::apps::{trace, AppId, OpStream, Workload};
+use netcache::apps::{trace, AppId, Op, Workload};
 use netcache::json::{self, Value};
 use netcache::mem::AddressMap;
 use netcache::sweep::{NoopObserver, StderrProgress, SweepObserver, SweepResult, SweepSpec};
-use netcache::{run_app, Arch, Machine, Store, SysConfig, TopoKind};
+use netcache::{run_app, run_streams, Arch, EngineScratch, Store, SysConfig, TopoKind};
 
 struct Args {
     positional: Vec<String>,
@@ -256,12 +256,11 @@ fn config(args: &Args) -> SysConfig {
         cfg = cfg.with_ring_kb(kb);
     }
     cfg = apply_topology(cfg, args);
+    machine_or_exit(cfg.validate(), args);
     cfg
 }
 
-/// Applies `--topology`/`--rings` to a config; a combination the fabric
-/// rejects (e.g. a star over a node count that doesn't tile into
-/// clusters) exits 2 with the validator's message.
+/// Applies `--topology`/`--rings` to a config (unvalidated).
 fn apply_topology(mut cfg: SysConfig, args: &Args) -> SysConfig {
     if let Some(kind) = args.topology {
         cfg = cfg.with_topology(kind);
@@ -269,11 +268,32 @@ fn apply_topology(mut cfg: SysConfig, args: &Args) -> SysConfig {
     if let Some(r) = args.rings {
         cfg = cfg.with_rings(r);
     }
-    if let Err(e) = cfg.validate() {
-        eprintln!("invalid --topology/--rings configuration: {e}");
-        exit(2)
-    }
     cfg
+}
+
+/// Unwraps a machine-configuration result, or exits 2 naming the flags
+/// that shaped the machine: a combination the validator rejects (20
+/// nodes cannot share 128 ring channels evenly, a star over a node count
+/// that doesn't tile into clusters) is user input, not an engine panic.
+fn machine_or_exit<T>(r: Result<T, String>, args: &Args) -> T {
+    r.unwrap_or_else(|e| {
+        let mut flags = format!("--procs {}", args.procs);
+        if let Some(kb) = args.ring_kb {
+            flags.push_str(&format!(" --ring-kb {kb}"));
+        }
+        if let Some(kbs) = &args.ring_kbs {
+            let kbs: Vec<String> = kbs.iter().map(u64::to_string).collect();
+            flags.push_str(&format!(" --ring-kbs {}", kbs.join(",")));
+        }
+        if let Some(kind) = args.topology {
+            flags.push_str(&format!(" --topology {}", kind.name()));
+        }
+        if let Some(r) = args.rings {
+            flags.push_str(&format!(" --rings {r}"));
+        }
+        eprintln!("invalid machine for {flags}: {e}");
+        exit(2)
+    })
 }
 
 /// The serial engine-throughput grid (one arch × all twelve apps) shared
@@ -282,12 +302,12 @@ fn apply_topology(mut cfg: SysConfig, args: &Args) -> SysConfig {
 /// time (`wall_ns`), which excludes machine construction but includes
 /// lazy op generation — the engine's real steady-state cost.
 fn engine_sweep(args: &Args) -> netcache::Sweep {
-    SweepSpec::new()
+    let spec = SweepSpec::new()
         .archs([args.arch])
         .all_apps()
         .nodes([args.procs])
-        .scale(args.scale)
-        .build()
+        .scale(args.scale);
+    machine_or_exit(spec.try_build(), args)
 }
 
 fn engine_grid(args: &Args) -> SweepResult {
@@ -458,6 +478,9 @@ fn main() {
                 .iter()
                 .map(|&a| SysConfig::base(a).with_nodes(args.procs))
                 .collect();
+            for cfg in &cfgs {
+                machine_or_exit(cfg.validate(), &args);
+            }
             let store = open_store(&args);
             let reports =
                 netcache::compare_stored(cfgs.iter(), app, args.procs, args.scale, store.as_ref());
@@ -491,13 +514,10 @@ fn main() {
                 spec = spec.ring_kb(kbs.iter().copied());
             }
             if args.topology.is_some() || args.rings.is_some() {
-                // Validate the combination on the base machine first so a
-                // bad flag pairing exits 2 here instead of panicking
-                // inside the sweep builder.
                 let cfg = apply_topology(SysConfig::base(args.arch).with_nodes(args.procs), &args);
                 spec = spec.topologies([(cfg.topo.kind, cfg.topo.rings)]);
             }
-            let sweep = spec.build();
+            let sweep = machine_or_exit(spec.try_build(), &args);
             let jobs = args.jobs.unwrap_or_else(|| {
                 std::thread::available_parallelism()
                     .map(|p| p.get())
@@ -604,22 +624,39 @@ fn main() {
                 eprintln!("no .trace files in {dir}");
                 exit(1);
             }
-            let streams: Vec<OpStream> = paths
+            let mut traces: Vec<Vec<Op>> = paths
                 .iter()
                 .map(|p| {
                     let f = or_exit(
                         std::fs::File::open(p),
                         format_args!("open trace file {}", p.display()),
                     );
-                    trace::into_stream(trace::load(f).unwrap_or_else(|e| {
+                    trace::load(f).unwrap_or_else(|e| {
                         eprintln!("{}: {e}", p.display());
                         exit(1)
-                    }))
+                    })
                 })
                 .collect();
-            let procs = streams.len();
+            if let Err((i, why)) = trace::renumber_sync(&mut traces) {
+                eprintln!(
+                    "{}: barrier sequence differs from {}: {why}",
+                    paths[i].display(),
+                    paths[0].display()
+                );
+                exit(2)
+            }
+            let procs = traces.len();
             let cfg = SysConfig::base(args.arch).with_nodes(procs.max(args.procs));
-            let r = Machine::with_streams(&cfg, streams).run();
+            if let Err(e) = cfg.validate() {
+                eprintln!(
+                    "cannot replay {procs} trace files from {dir} on a {}-node machine \
+                     (--procs {}): {e}",
+                    cfg.nodes, args.procs
+                );
+                exit(2)
+            }
+            let streams = traces.into_iter().map(trace::into_stream).collect();
+            let r = run_streams(&cfg, streams, &mut EngineScratch::new());
             println!("replayed {procs} traces: {}", r.summary());
         }
         "bench-engine" => {

@@ -1,4 +1,4 @@
-//! Adversarial CLI tests for the topology flags and file arguments.
+//! Adversarial CLI tests for the machine flags and file arguments.
 //!
 //! The driver's contract for bad flag values and unusable files is exit
 //! code 2 with a diagnostic that **names the offending flag or file** —
@@ -154,5 +154,97 @@ fn sweep_json_into_missing_dir_exits_two_naming_the_flag() {
     assert_eq!(out.status.code(), Some(2), "stderr: {}", stderr_of(&out));
     let err = stderr_of(&out);
     assert!(err.contains("--json"), "flag not named: {err}");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// 128 ring channels do not divide over 20 nodes. Every command that
+/// builds a machine from `--procs` must reject that by name (exit 2),
+/// not panic in the sweep builder or a worker thread.
+#[test]
+fn indivisible_procs_exits_two_naming_the_flag() {
+    for cmd in [
+        &["sweep", "gauss", "--procs", "20", "--quiet"][..],
+        &["compare", "gauss", "--procs", "20"],
+        &["run", "gauss", "--procs", "20"],
+        &["bench-engine", "--procs", "20"],
+    ] {
+        let out = netcache(cmd);
+        assert_eq!(
+            out.status.code(),
+            Some(2),
+            "{cmd:?}, stderr: {}",
+            stderr_of(&out)
+        );
+        let err = stderr_of(&out);
+        assert!(err.contains("--procs 20"), "{cmd:?}: flag not named: {err}");
+        assert!(
+            err.contains("multiple of nodes"),
+            "{cmd:?}: no cause: {err}"
+        );
+    }
+}
+
+/// Writes `files` (name, contents) into a fresh trace directory.
+fn trace_dir(tag: &str, files: &[(String, &str)]) -> PathBuf {
+    let dir = scratch(tag);
+    for (name, text) in files {
+        std::fs::write(dir.join(name), text).unwrap();
+    }
+    dir
+}
+
+/// 65 trace files ask for a 65-node machine, which the 128-channel ring
+/// cannot serve: exit 2 naming the trace directory.
+#[test]
+fn replay_of_an_unservable_file_count_exits_two_naming_the_dir() {
+    let files: Vec<(String, &str)> = (0..65)
+        .map(|p| (format!("t.{p:02}.trace"), "C 5\nB 0\n"))
+        .collect();
+    let dir = trace_dir("replay-65", &files);
+    let out = netcache(&["replay", dir.to_str().unwrap()]);
+    assert_eq!(out.status.code(), Some(2), "stderr: {}", stderr_of(&out));
+    let err = stderr_of(&out);
+    assert!(err.contains(dir.to_str().unwrap()), "dir not named: {err}");
+    assert!(err.contains("65 trace files"), "count not named: {err}");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Lock and barrier ids are renumbered densely on replay, so ids near
+/// `u32::MAX` run instead of sizing the machine's sync tables by id.
+#[test]
+fn replay_accepts_any_u32_sync_ids() {
+    let dir = trace_dir(
+        "replay-ids",
+        &[
+            (
+                "t.0.trace".into(),
+                "A 4000000000\nC 5\nL 4000000000\nB 3000000000\n",
+            ),
+            ("t.1.trace".into(), "C 9\nB 3000000000\n"),
+        ],
+    );
+    let out = netcache(&["replay", dir.to_str().unwrap()]);
+    assert_eq!(out.status.code(), Some(0), "stderr: {}", stderr_of(&out));
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(stdout.contains("replayed 2 traces"), "{stdout}");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Trace files whose barrier sequences differ would deadlock the
+/// machine; replay rejects them up front (exit 2), naming the file.
+#[test]
+fn replay_of_mismatched_barriers_exits_two_naming_the_file() {
+    let dir = trace_dir(
+        "replay-bars",
+        &[
+            ("t.0.trace".into(), "C 5\nB 0\nB 1\n"),
+            ("t.1.trace".into(), "C 5\nB 0\n"),
+        ],
+    );
+    let out = netcache(&["replay", dir.to_str().unwrap()]);
+    assert_eq!(out.status.code(), Some(2), "stderr: {}", stderr_of(&out));
+    let err = stderr_of(&out);
+    assert!(err.contains("t.1.trace"), "file not named: {err}");
+    assert!(err.contains("barrier"), "cause not named: {err}");
     let _ = std::fs::remove_dir_all(&dir);
 }

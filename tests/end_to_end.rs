@@ -2,7 +2,7 @@
 //! public facade, checking the paper's qualitative claims at small scale.
 
 use netcache::apps::{AppId, Workload};
-use netcache::{run_app, Arch, Machine, SysConfig};
+use netcache::{run_app, run_streams, Arch, EngineScratch, SysConfig};
 
 const SCALE: f64 = 0.03;
 
@@ -163,7 +163,7 @@ fn custom_streams_api_works_end_to_end() {
             )
         })
         .collect();
-    let r = Machine::with_streams(&cfg, streams).run();
+    let r = run_streams(&cfg, streams, &mut EngineScratch::new());
     assert_eq!(r.total_reads(), 16000);
     // Reads served off the ring (hits + rides on in-flight insertions)
     // avoid a dedicated memory access; for co-streamed data that should
@@ -198,4 +198,32 @@ fn larger_l2_reduces_gauss_runtime_on_baselines() {
         nc.cycles,
         large.cycles
     );
+}
+
+/// A dumped trace replays to the same machine: `trace::dump`, then
+/// `trace::load` and `into_stream` (the `replay` path, ops served as
+/// `One`s) must reproduce the digest of the generator's macro-op streams.
+#[test]
+fn dumped_traces_replay_bit_identically() {
+    use netcache::apps::trace;
+    for app in [AppId::Gauss, AppId::Radix, AppId::Wf] {
+        let cfg = SysConfig::base(Arch::NetCache).with_nodes(4);
+        let wl = Workload::new(app, 4).scale(0.02);
+        let map = netcache::mem::AddressMap::new(cfg.nodes, cfg.l2.block_bytes);
+        let streams = wl
+            .streams(&map)
+            .into_iter()
+            .map(|s| {
+                let text = trace::dump(s);
+                trace::into_stream(trace::load(text.as_bytes()).expect("dump parses"))
+            })
+            .collect();
+        let replayed = run_streams(&cfg, streams, &mut EngineScratch::new());
+        assert_eq!(
+            replayed.digest(),
+            run_app(&cfg, &wl).digest(),
+            "{}: replayed trace diverged from the generated streams",
+            app.name()
+        );
+    }
 }
