@@ -95,6 +95,13 @@ pub struct Chunk {
 }
 
 impl Chunk {
+    /// An empty chunk with room for about `cap` macro-ops.
+    pub fn with_capacity(cap: usize) -> Self {
+        Self {
+            ops: Vec::with_capacity(cap),
+        }
+    }
+
     /// Appends a read of element `i` (of `elem` bytes) of the array at
     /// `base`.
     #[inline]
@@ -181,6 +188,21 @@ impl Chunk {
     #[inline]
     pub fn release(&mut self, id: LockId) {
         self.ops.push(MacroOp::One(Op::Release(id)));
+    }
+
+    /// Number of macro-ops in the chunk.
+    pub fn len(&self) -> usize {
+        self.ops.len()
+    }
+
+    /// Number of scalar ops the chunk expands to.
+    pub fn ops_len(&self) -> u64 {
+        self.ops.iter().map(|m| m.ops_len()).sum()
+    }
+
+    /// True if the chunk is empty.
+    pub fn is_empty(&self) -> bool {
+        self.ops.is_empty()
     }
 
     /// Consumes the chunk into its macro-op vector.

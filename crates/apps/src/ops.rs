@@ -41,6 +41,11 @@ pub enum Op {
 }
 
 impl Op {
+    /// True for synchronization operations.
+    pub fn is_sync(&self) -> bool {
+        matches!(self, Op::Acquire(_) | Op::Release(_) | Op::Barrier(_))
+    }
+
     /// True for data references.
     pub fn is_ref(&self) -> bool {
         matches!(self, Op::Read(_) | Op::Write(_))
@@ -658,6 +663,9 @@ mod tests {
 
     #[test]
     fn op_classification() {
+        assert!(Op::Barrier(0).is_sync());
+        assert!(Op::Acquire(1).is_sync());
+        assert!(!Op::Read(0).is_sync());
         assert!(Op::Read(0).is_ref());
         assert!(Op::Write(4).is_ref());
         assert!(!Op::Compute(3).is_ref());
