@@ -19,7 +19,7 @@
 //! ...), or the in-memory `Vec<Vec<Op>>` forms below.
 
 use crate::ops::{Op, OpStream};
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::fmt::Write as _;
 use std::io::{BufRead, BufReader, Read};
 
@@ -106,16 +106,21 @@ pub fn into_stream(ops: Vec<Op>) -> OpStream {
 }
 
 /// Readies a multiprocessor trace (one op vector per processor) for one
-/// machine run. Every trace must cross the same barrier sequence — the
-/// machine releases a barrier when all processors reach it, so a
-/// mismatch would deadlock. Lock and barrier ids are then renumbered
-/// densely in order of first appearance, with one map per kind shared by
-/// all traces, so any `u32` id is usable (the machine indexes its sync
-/// state by id).
+/// machine run, checking the front-end contract first:
+///
+/// * every trace crosses the same barrier sequence — the machine releases
+///   a barrier when all processors reach it, so a mismatch would deadlock;
+/// * every trace's lock pairs are properly nested — it releases only
+///   locks it holds, never acquires a lock it already holds, and holds
+///   none at its end; a lock left held would deadlock its next acquirer.
+///
+/// Lock and barrier ids are then renumbered densely in order of first
+/// appearance, with one map per kind shared by all traces, so any `u32`
+/// id is usable (the machine indexes its sync state by id).
 ///
 /// # Errors
-/// `(i, why)` for the first trace `i` whose barrier sequence differs
-/// from trace 0's; nothing is renumbered then.
+/// `(i, why)` for the first trace `i` that breaks the contract; nothing
+/// is renumbered then.
 pub fn renumber_sync(traces: &mut [Vec<Op>]) -> Result<(), (usize, String)> {
     let barriers = |ops: &[Op]| -> Vec<u32> {
         ops.iter()
@@ -126,7 +131,8 @@ pub fn renumber_sync(traces: &mut [Vec<Op>]) -> Result<(), (usize, String)> {
             .collect()
     };
     let first = traces.first().map(|t| barriers(t)).unwrap_or_default();
-    for (i, t) in traces.iter().enumerate().skip(1) {
+    for (i, t) in traces.iter().enumerate() {
+        check_locks(t).map_err(|why| (i, why))?;
         let seq = barriers(t);
         if let Some(k) = (0..seq.len().min(first.len())).find(|&k| seq[k] != first[k]) {
             return Err((
@@ -166,6 +172,34 @@ pub fn renumber_sync(traces: &mut [Vec<Op>]) -> Result<(), (usize, String)> {
     Ok(())
 }
 
+/// Checks that one trace's lock pairs are properly nested (see
+/// [`renumber_sync`]), naming the first offending op by its 1-based
+/// position among the trace's ops.
+fn check_locks(ops: &[Op]) -> Result<(), String> {
+    let mut held = HashSet::new();
+    for (k, op) in ops.iter().enumerate() {
+        match *op {
+            Op::Acquire(l) if !held.insert(l) => {
+                return Err(format!(
+                    "op #{} acquires lock {l}, which the trace already holds",
+                    k + 1
+                ))
+            }
+            Op::Release(l) if !held.remove(&l) => {
+                return Err(format!(
+                    "op #{} releases lock {l}, which the trace does not hold",
+                    k + 1
+                ))
+            }
+            _ => {}
+        }
+    }
+    match held.into_iter().min() {
+        Some(l) => Err(format!("ends holding lock {l}")),
+        None => Ok(()),
+    }
+}
+
 /// Summary statistics of a stream — handy before committing to a long
 /// simulation.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -187,7 +221,7 @@ pub struct TraceProfile {
 /// Profiles a stream (consumes it).
 pub fn profile(ops: impl IntoIterator<Item = Op>) -> TraceProfile {
     let mut p = TraceProfile::default();
-    let mut blocks = std::collections::HashSet::new();
+    let mut blocks = HashSet::new();
     for op in ops {
         match op {
             Op::Read(a) => {
@@ -312,6 +346,41 @@ mod tests {
         assert!(why.contains("crosses 1 barriers"), "{why}");
         // Nothing was renumbered on the error path.
         assert_eq!(short[0], base);
+    }
+
+    #[test]
+    fn renumber_sync_rejects_unbalanced_locks() {
+        let ok = vec![
+            Op::Acquire(5),
+            Op::Acquire(6),
+            Op::Release(6),
+            Op::Release(5),
+        ];
+        for (bad, cause) in [
+            (
+                vec![Op::Compute(1), Op::Release(5)],
+                "op #2 releases lock 5",
+            ),
+            (
+                vec![Op::Acquire(5), Op::Release(5), Op::Release(5)],
+                "op #3 releases lock 5",
+            ),
+            (
+                vec![Op::Acquire(5), Op::Acquire(5)],
+                "op #2 acquires lock 5",
+            ),
+            (vec![Op::Acquire(9), Op::Acquire(5)], "ends holding lock 5"),
+        ] {
+            let mut traces = vec![ok.clone(), bad.clone()];
+            let (i, why) = renumber_sync(&mut traces).unwrap_err();
+            assert_eq!(i, 1, "{bad:?}");
+            assert!(why.contains(cause), "{bad:?}: {why}");
+            // Nothing was renumbered on the error path.
+            assert_eq!(traces[0], ok);
+        }
+        // The first trace is checked too.
+        let mut traces = vec![vec![Op::Acquire(0), Op::Compute(5)], vec![Op::Acquire(0)]];
+        assert_eq!(renumber_sync(&mut traces).unwrap_err().0, 0);
     }
 
     #[test]

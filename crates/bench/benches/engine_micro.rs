@@ -50,9 +50,9 @@ fn bench_event_queue() {
         black_box(acc);
     });
     // Dense same-cycle bursts: the barrier-release pattern. Hundreds of
-    // events land on a handful of adjacent timestamps; the timing wheel
-    // turns each pop into a bitmap probe plus a VecDeque pop, where the
-    // old heap paid log(n) sift-downs on every one.
+    // events land on a handful of adjacent timestamps, so the heap's
+    // `(time, seq)` comparisons fall through to `seq` on nearly every
+    // sift — the queue's worst case for ties.
     bench("event_queue_dense_bursts", 200, || {
         let mut q = EventQueue::new();
         for burst in 0..8u64 {

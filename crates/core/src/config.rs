@@ -215,6 +215,10 @@ impl RingConfig {
     }
 }
 
+/// Largest machine [`SysConfig::validate`] accepts: sharer sets
+/// (`SharerMap`, the update broadcast) are one `u64` bit per node.
+const MAX_NODES: usize = 64;
+
 /// Full machine configuration.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SysConfig {
@@ -335,6 +339,13 @@ impl SysConfig {
         if self.nodes == 0 {
             return Err("need at least one node".into());
         }
+        if self.nodes > MAX_NODES {
+            return Err(format!(
+                "at most {MAX_NODES} nodes are supported (got {}): sharer sets \
+                 are one u64 bit per node",
+                self.nodes
+            ));
+        }
         if self.ring.enabled() && !self.ring.channels.is_multiple_of(self.nodes) {
             return Err(format!(
                 "ring channels ({}) must be a multiple of nodes ({})",
@@ -436,6 +447,17 @@ mod tests {
         assert!(c.validate().is_err());
         c.ring.channels = 0; // disabled is fine
         assert!(c.validate().is_ok());
+    }
+
+    #[test]
+    fn validation_caps_nodes_at_the_sharer_mask_width() {
+        for arch in Arch::ALL {
+            assert!(SysConfig::base(arch).with_nodes(64).validate().is_ok());
+            for n in [65, 128] {
+                let err = SysConfig::base(arch).with_nodes(n).validate().unwrap_err();
+                assert!(err.contains("at most 64 nodes"), "{arch:?} {n}: {err}");
+            }
+        }
     }
 
     #[test]

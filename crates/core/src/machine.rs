@@ -235,8 +235,8 @@ impl ElideEnv<'_> {
 }
 
 /// Reusable cross-run allocations. A sweep runs thousands of machines
-/// back to back; the event queue's timing wheel is the one allocation
-/// worth carrying over (slot buffers, occupancy bitmap, overflow heap).
+/// back to back; the scratch carries the event queue's heap from one run
+/// to the next, so later runs start with its capacity already grown.
 /// Hand one scratch per worker thread to every [`run_streams`] or
 /// [`run_workload`] call it makes.
 #[derive(Default)]
@@ -305,8 +305,8 @@ impl<P: Protocol> Machine<P> {
             "need 1..=nodes streams"
         );
         let n = streams.len();
-        // Far-future events are rare (one run-ahead wakeup per processor
-        // slice), so a small per-processor overflow reservation suffices.
+        // Each processor has only a few events pending at once (a resume,
+        // plus a write-buffer kick or ack).
         let mut queue = scratch
             .queue
             .take()
@@ -1161,7 +1161,7 @@ fn schedule_clamped(queue: &mut EventQueue<Event>, at: Time, ev: Event) {
 /// protocol call inside them monomorphize per protocol — no per-event
 /// virtual dispatch. This is the engine's one entry point: `run_app`,
 /// sweeps, trace replay and custom workloads all come through here, and
-/// `scratch` carries the event queue's allocations from run to run.
+/// `scratch` carries the event queue's heap from run to run.
 ///
 /// Caller-provided streams are the extension point for workloads beyond
 /// the built-in twelve. They must obey the front-end contract: identical

@@ -6,15 +6,13 @@
 //! a simulation is a *pure function of its configuration and seed*:
 //!
 //! * [`Time`] — the simulation clock type (processor cycles, "pcycles").
-//! * [`EventQueue`] — a priority queue of timestamped events with a
+//! * [`EventQueue`] — a binary heap of timestamped events with a
 //!   deterministic FIFO tie-break for simultaneous events.
 //! * [`FifoServer`] — a single-resource server (memory bank, network
 //!   channel) that serializes requests in arrival order.
 //! * [`SlottedServer`] — a TDMA-style server in which each client owns a
 //!   periodic time slot (used for optical control/request channels).
 //! * [`rng`] — small, fast, reproducible PRNGs (SplitMix64, Xoshiro256**).
-//! * [`stats`] — counters, accumulators and log-scale histograms used for
-//!   metric collection.
 //!
 //! The design follows the "resource reservation" style of discrete-event
 //! simulation: instead of modeling every message hop as an event, a
@@ -27,11 +25,9 @@
 pub mod queue;
 pub mod rng;
 pub mod server;
-pub mod stats;
 pub mod time;
 
 pub use queue::EventQueue;
 pub use rng::{SplitMix64, Xoshiro256StarStar};
 pub use server::{FifoServer, SlottedServer};
-pub use stats::{Accumulator, Counter, Histogram};
 pub use time::{Duration, Time};

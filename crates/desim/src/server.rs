@@ -48,15 +48,6 @@ impl FifoServer {
         start
     }
 
-    /// Like [`acquire`](Self::acquire) but returns the *completion* time.
-    #[inline]
-    pub fn acquire_done(&mut self, arrival: Time, service: Duration) -> Time {
-        self.acquire(arrival, service);
-        // `acquire` advanced `next_free` to exactly this transaction's
-        // completion time.
-        self.next_free
-    }
-
     /// How long a request arriving now would wait before being served.
     #[inline]
     pub fn backlog(&self, now: Time) -> Duration {
@@ -236,12 +227,6 @@ impl SlottedServer {
         start
     }
 
-    /// How long a message from `client` arriving at `now` would wait before
-    /// its transmission starts.
-    pub fn wait_for(&self, client: usize, now: Time) -> Duration {
-        self.earliest_start(client, now) - now
-    }
-
     /// Total busy time (for utilization reports).
     #[inline]
     pub fn busy_total(&self) -> Duration {
@@ -356,11 +341,10 @@ mod tests {
         let mut rng = crate::rng::SplitMix64::new(2024);
         let mut total = 0u64;
         let n = 16_000u64;
-        let s = SlottedServer::new(16, 1);
         for _ in 0..n {
             let client = (rng.next_u64() % 16) as usize;
             let now = rng.next_u64() % 100_000;
-            total += s.wait_for(client, now);
+            total += SlottedServer::new(16, 1).acquire(client, now, 1) - now;
         }
         let mean = total as f64 / n as f64;
         assert!((mean - 7.5).abs() < 0.5, "mean {mean}");
@@ -446,19 +430,5 @@ mod tests {
                 assert_eq!(f.wait_total, r.wait_total);
             }
         }
-    }
-
-    #[test]
-    fn wait_for_matches_acquire_when_idle() {
-        let mut s = SlottedServer::new(8, 1);
-        for client in 0..8 {
-            let now = 3;
-            let predicted = s.wait_for(client, now);
-            let mut clone = s.clone();
-            let start = clone.acquire(client, now, 1);
-            assert_eq!(start - now, predicted);
-        }
-        // Keep `s` used under both paths.
-        s.acquire(0, 0, 1);
     }
 }

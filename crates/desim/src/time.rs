@@ -12,48 +12,3 @@ pub type Time = u64;
 
 /// A span of simulation time, in pcycles.
 pub type Duration = u64;
-
-/// Number of picoseconds per pcycle at the paper's 200 MHz clock.
-pub const PS_PER_PCYCLE: u64 = 5_000;
-
-/// Converts nanoseconds to pcycles, rounding up (a partial cycle still
-/// occupies a full cycle of the synchronous interface).
-#[inline]
-pub fn ns_to_pcycles(ns: f64) -> Duration {
-    let ps = ns * 1_000.0;
-    let cycles = ps / PS_PER_PCYCLE as f64;
-    cycles.ceil() as Duration
-}
-
-/// Converts pcycles to nanoseconds.
-#[inline]
-pub fn pcycles_to_ns(cycles: Duration) -> f64 {
-    (cycles * PS_PER_PCYCLE) as f64 / 1_000.0
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn ns_round_trips_through_pcycles() {
-        assert_eq!(ns_to_pcycles(5.0), 1);
-        assert_eq!(ns_to_pcycles(10.0), 2);
-        assert_eq!(pcycles_to_ns(2), 10.0);
-    }
-
-    #[test]
-    fn partial_cycles_round_up() {
-        assert_eq!(ns_to_pcycles(5.1), 2);
-        assert_eq!(ns_to_pcycles(0.1), 1);
-        assert_eq!(ns_to_pcycles(0.0), 0);
-    }
-
-    #[test]
-    fn paper_block_transfer_time() {
-        // 64-byte block at 10 Gbit/s = 51.2 ns = 10.24 pcycles -> 11.
-        let bits = 64.0 * 8.0;
-        let ns = bits / 10.0; // 10 Gbit/s == 10 bits/ns
-        assert_eq!(ns_to_pcycles(ns), 11);
-    }
-}

@@ -129,7 +129,7 @@ impl RingGeometry {
     /// frame spacing, so the next boundary is the smallest multiple
     /// `m·spacing ≥ c` and the victim is frame `m-1` (frame `fpc-1` wraps
     /// to phase 0). Boundary phases are distinct, so no tie-break is
-    /// needed; [`Self::next_frame_scan`] remains as the fallback for
+    /// needed; `next_frame_scan` remains as the fallback for
     /// irregular geometries and as the differential-test oracle.
     pub fn next_frame_at(&self, channel: usize, node: usize, now: Time) -> (RingSlot, Time) {
         let r = self.roundtrip;

@@ -108,6 +108,17 @@ fn parse_count(name: &str, v: &str) -> usize {
     n
 }
 
+/// Parses `--scale`: a workload input fraction in (0, 1], the range
+/// `Workload::scale` accepts (NaN fails the range check too).
+fn parse_scale(v: &str) -> f64 {
+    let s: f64 = parse_num("--scale", v);
+    if !(s > 0.0 && s <= 1.0) {
+        eprintln!("invalid value {v:?} for --scale: must be in (0, 1]");
+        exit(2)
+    }
+    s
+}
+
 fn parse_arch(name: &str) -> Arch {
     match name.to_lowercase().as_str() {
         "netcache" => Arch::NetCache,
@@ -161,7 +172,7 @@ fn parse_args() -> Args {
                     v.split(',').map(parse_arch).collect()
                 });
             }
-            "--scale" => args.scale = parse_num("--scale", &grab("--scale")),
+            "--scale" => args.scale = parse_scale(&grab("--scale")),
             "--procs" => args.procs = parse_count("--procs", &grab("--procs")),
             "--ring-kb" => {
                 args.ring_kb = Some(parse_num("--ring-kb", &grab("--ring-kb")));
@@ -638,11 +649,7 @@ fn main() {
                 })
                 .collect();
             if let Err((i, why)) = trace::renumber_sync(&mut traces) {
-                eprintln!(
-                    "{}: barrier sequence differs from {}: {why}",
-                    paths[i].display(),
-                    paths[0].display()
-                );
+                eprintln!("{}: {why}", paths[i].display());
                 exit(2)
             }
             let procs = traces.len();

@@ -184,6 +184,56 @@ fn indivisible_procs_exits_two_naming_the_flag() {
     }
 }
 
+/// Sharer sets are one `u64` bit per node, so a machine of more than 64
+/// nodes would silently drop update refreshes to nodes 64 and up. Every
+/// command that builds a machine rejects it by name (exit 2).
+#[test]
+fn more_than_64_procs_exits_two_naming_the_flag() {
+    for cmd in [
+        &["sweep", "sor", "--procs", "128", "--quiet"][..],
+        &["compare", "sor", "--procs", "128"],
+        &["run", "sor", "--procs", "128"],
+        &["run", "sor", "--arch", "lambdanet", "--procs", "128"],
+        &["bench-engine", "--procs", "128"],
+    ] {
+        let out = netcache(cmd);
+        let err = stderr_of(&out);
+        assert_eq!(out.status.code(), Some(2), "{cmd:?}, stderr: {err}");
+        assert!(
+            err.contains("--procs 128"),
+            "{cmd:?}: flag not named: {err}"
+        );
+        assert!(err.contains("at most 64 nodes"), "{cmd:?}: no cause: {err}");
+    }
+}
+
+/// `--scale` is a workload input fraction in (0, 1]; anything else exits
+/// 2 naming the flag at parse time instead of tripping the workload
+/// builder's assert (exit 101) mid-command.
+#[test]
+fn out_of_range_scale_exits_two_naming_the_flag() {
+    let dir = scratch("bad-scale");
+    let dir = dir.to_str().unwrap();
+    for cmd in [
+        &["run", "gauss"][..],
+        &["compare", "gauss"],
+        &["sweep", "gauss", "--quiet"],
+        &["trace", "gauss", dir],
+        &["profile", "gauss"],
+        &["bench-engine"],
+    ] {
+        for v in ["0", "-1", "nan", "1e9"] {
+            let mut args = cmd.to_vec();
+            args.extend(["--procs", "2", "--scale", v]);
+            let out = netcache(&args);
+            let err = stderr_of(&out);
+            assert_eq!(out.status.code(), Some(2), "{args:?}, stderr: {err}");
+            assert!(err.contains("--scale"), "{args:?}: flag not named: {err}");
+        }
+    }
+    let _ = std::fs::remove_dir_all(dir);
+}
+
 /// Writes `files` (name, contents) into a fresh trace directory.
 fn trace_dir(tag: &str, files: &[(String, &str)]) -> PathBuf {
     let dir = scratch(tag);
@@ -247,4 +297,39 @@ fn replay_of_mismatched_barriers_exits_two_naming_the_file() {
     assert!(err.contains("t.1.trace"), "file not named: {err}");
     assert!(err.contains("barrier"), "cause not named: {err}");
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A lock a trace leaves held deadlocks its next acquirer; replay rejects
+/// lock pairs that are not properly nested up front (exit 2), naming the
+/// file.
+#[test]
+fn replay_of_unbalanced_locks_exits_two_naming_the_file() {
+    for (tag, t0, t1, bad, cause) in [
+        (
+            "held",
+            "A 0\nC 5\n",
+            "A 0\nR 0\n",
+            "t.0.trace",
+            "ends holding lock 0",
+        ),
+        ("unheld", "C 5\n", "L 3\n", "t.1.trace", "releases lock 3"),
+        (
+            "twice",
+            "C 5\n",
+            "A 3\nA 3\n",
+            "t.1.trace",
+            "acquires lock 3",
+        ),
+    ] {
+        let dir = trace_dir(
+            &format!("replay-locks-{tag}"),
+            &[("t.0.trace".into(), t0), ("t.1.trace".into(), t1)],
+        );
+        let out = netcache(&["replay", dir.to_str().unwrap()]);
+        let err = stderr_of(&out);
+        assert_eq!(out.status.code(), Some(2), "{tag}: stderr: {err}");
+        assert!(err.contains(bad), "{tag}: file not named: {err}");
+        assert!(err.contains(cause), "{tag}: cause not named: {err}");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
 }

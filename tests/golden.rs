@@ -3,8 +3,9 @@
 //! Each cell below pins the FNV-1a digest of the full `RunReport`
 //! (every stat, counter, and final time — see `RunReport::digest`) for a
 //! small architecture × application grid. The digests were captured from
-//! the pre-timing-wheel engine (BinaryHeap event queue, HashMap ring
-//! index); the rewritten engine must reproduce every report bit-for-bit.
+//! an engine with a binary-heap event queue and a HashMap ring index, and
+//! have held bit-for-bit through every engine rewrite since (a timing-wheel
+//! queue came and went); the next rewrite must reproduce them too.
 //!
 //! If a cell fails here, event delivery order (the `(time, seq)` FIFO
 //! tie-break) or the ring/lock/barrier semantics changed — that is a
