@@ -5,41 +5,29 @@
 //! poor spatial locality the most (paper: Em3d −33%, CG −12%) — pollution
 //! wins over prefetching in a small shared cache.
 
-use netcache_apps::AppId;
-use netcache_bench::{emit, machine, par_run, run_cell, Row};
-use netcache_core::{Arch, RunReport, SysConfig};
+use netcache_bench::{app_rows, emit, machine};
+use netcache_core::{Arch, RingConfig, SysConfig};
 
 fn main() {
-    let rows: Vec<Row> = AppId::ALL
-        .iter()
-        .map(|&app| {
-            let base = machine(Arch::NetCache);
-            let wide = SysConfig {
-                ring: netcache_core::RingConfig {
-                    block_bytes: 128,
-                    frames_per_channel: 2,
-                    ..base.ring
-                },
-                ..base
-            };
-            let jobs: Vec<Box<dyn FnOnce() -> RunReport + Send>> = vec![
-                Box::new(move || run_cell(&base, app)),
-                Box::new(move || run_cell(&wide, app)),
-            ];
-            let reports = par_run(jobs);
-            let penalty = 100.0 * (reports[1].cycles as f64 / reports[0].cycles as f64 - 1.0);
-            Row {
-                label: app.name().to_string(),
-                values: vec![
-                    reports[0].cycles as f64,
-                    reports[1].cycles as f64,
-                    penalty,
-                    100.0 * reports[0].shared_cache_hit_rate(),
-                    100.0 * reports[1].shared_cache_hit_rate(),
-                ],
-            }
-        })
-        .collect();
+    let base = machine(Arch::NetCache);
+    let wide = SysConfig {
+        ring: RingConfig {
+            block_bytes: 128,
+            frames_per_channel: 2,
+            ..base.ring
+        },
+        ..base
+    };
+    let rows = app_rows(&[base, wide], |reports| {
+        let penalty = 100.0 * (reports[1].cycles as f64 / reports[0].cycles as f64 - 1.0);
+        vec![
+            reports[0].cycles as f64,
+            reports[1].cycles as f64,
+            penalty,
+            100.0 * reports[0].shared_cache_hit_rate(),
+            100.0 * reports[1].shared_cache_hit_rate(),
+        ]
+    });
     emit(
         "ablation_block_size",
         "64 B vs 128 B shared-cache lines at 32 KB (penalty%: positive = 128 B is worse)",

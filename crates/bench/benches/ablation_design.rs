@@ -11,9 +11,8 @@
 //!    cost should be small (the paper sizes the queue at 54 entries and
 //!    never reports it as a bottleneck).
 
-use netcache_apps::AppId;
-use netcache_bench::{emit, machine, par_run, run_cell, Row};
-use netcache_core::{Arch, RunReport, SysConfig};
+use netcache_bench::{app_rows, emit, machine};
+use netcache_core::{Arch, SysConfig};
 
 fn variant(base: &SysConfig, dual: bool, window: bool) -> SysConfig {
     let mut cfg = *base;
@@ -23,37 +22,24 @@ fn variant(base: &SysConfig, dual: bool, window: bool) -> SysConfig {
 }
 
 fn main() {
-    let rows: Vec<Row> = AppId::ALL
-        .iter()
-        .map(|&app| {
-            let base = machine(Arch::NetCache);
-            let cfgs = [
-                variant(&base, true, true),  // the architecture
-                variant(&base, false, true), // ring-probe-first reads
-                variant(&base, true, false), // no race window (unsafe)
-            ];
-            let jobs: Vec<Box<dyn FnOnce() -> RunReport + Send>> = cfgs
-                .into_iter()
-                .map(|cfg| {
-                    Box::new(move || run_cell(&cfg, app)) as Box<dyn FnOnce() -> RunReport + Send>
-                })
-                .collect();
-            let reports = par_run(jobs);
-            let base_cycles = reports[0].cycles as f64;
-            Row {
-                label: app.name().to_string(),
-                values: vec![
-                    reports[0].cycles as f64,
-                    100.0 * (reports[1].cycles as f64 / base_cycles - 1.0),
-                    100.0 * (reports[2].cycles as f64 / base_cycles - 1.0),
-                    reports[0]
-                        .ring
-                        .map(|r| r.window_delays as f64)
-                        .unwrap_or(0.0),
-                ],
-            }
-        })
-        .collect();
+    let base = machine(Arch::NetCache);
+    let cfgs = [
+        variant(&base, true, true),  // the architecture
+        variant(&base, false, true), // ring-probe-first reads
+        variant(&base, true, false), // no race window (unsafe)
+    ];
+    let rows = app_rows(&cfgs, |reports| {
+        let base_cycles = reports[0].cycles as f64;
+        vec![
+            reports[0].cycles as f64,
+            100.0 * (reports[1].cycles as f64 / base_cycles - 1.0),
+            100.0 * (reports[2].cycles as f64 / base_cycles - 1.0),
+            reports[0]
+                .ring
+                .map(|r| r.window_delays as f64)
+                .unwrap_or(0.0),
+        ]
+    });
     emit(
         "ablation_design",
         "NetCache §3.4 mechanism ablations (deltas vs the real design, %)",

@@ -6,26 +6,19 @@
 //! (barrier overhead / load imbalance); CG and LU are modest.
 
 use netcache_apps::AppId;
-use netcache_bench::{default_scale, emit, machine, par_run, procs, Row};
+use netcache_bench::{default_scale, emit, machine, procs, Row};
 use netcache_core::{speedup, Arch};
-
-type SpeedupJob = Box<dyn FnOnce() -> (AppId, (u64, u64, f64)) + Send>;
 
 fn main() {
     let p = procs();
-    let jobs: Vec<SpeedupJob> = AppId::ALL
+    let rows: Vec<Row> = AppId::ALL
         .iter()
         .map(|&app| {
-            let cfg = machine(Arch::NetCache);
-            Box::new(move || (app, speedup(&cfg, app, p, default_scale(app)))) as SpeedupJob
-        })
-        .collect();
-    let results = par_run(jobs);
-    let rows: Vec<Row> = results
-        .iter()
-        .map(|(app, (t1, tp, s))| Row {
-            label: app.name().to_string(),
-            values: vec![*t1 as f64, *tp as f64, *s],
+            let (t1, tp, s) = speedup(&machine(Arch::NetCache), app, p, default_scale(app), None);
+            Row {
+                label: app.name().to_string(),
+                values: vec![t1 as f64, tp as f64, s],
+            }
         })
         .collect();
     emit(

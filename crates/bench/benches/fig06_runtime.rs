@@ -8,34 +8,25 @@
 //! to ~2× on WF); LambdaNet ≤ DMON-U ≤ DMON-I; ties (≈1.0×) for
 //! Em3d/FFT/Radix vs LambdaNet.
 
-use netcache_apps::AppId;
-use netcache_bench::{emit, machine, normalized, par_run, run_cell, Row};
-use netcache_core::{Arch, RunReport, SysConfig};
+use netcache_bench::{app_rows, emit, machine, normalized};
+use netcache_core::{Arch, RingConfig, SysConfig};
 
 fn main() {
-    let mut rows = Vec::new();
-    for app in AppId::ALL {
-        let cfgs: Vec<SysConfig> = Arch::ALL.iter().map(|&a| machine(a)).collect();
-        let mut jobs: Vec<Box<dyn FnOnce() -> RunReport + Send>> = cfgs
-            .into_iter()
-            .map(|cfg| {
-                Box::new(move || run_cell(&cfg, app)) as Box<dyn FnOnce() -> RunReport + Send>
-            })
-            .collect();
-        let no_ring = SysConfig {
-            ring: netcache_core::RingConfig::sized_kb(0),
-            ..machine(Arch::NetCache)
-        };
-        jobs.push(Box::new(move || run_cell(&no_ring, app)));
-        let reports = par_run(jobs);
+    let no_ring = SysConfig {
+        ring: RingConfig::sized_kb(0),
+        ..machine(Arch::NetCache)
+    };
+    let cfgs: Vec<SysConfig> = Arch::ALL
+        .map(machine)
+        .into_iter()
+        .chain([no_ring])
+        .collect();
+    let rows = app_rows(&cfgs, |reports| {
         let cycles: Vec<u64> = reports.iter().map(|r| r.cycles).collect();
         let mut values = normalized(&cycles);
         values.push(cycles[0] as f64); // absolute NetCache cycles for reference
-        rows.push(Row {
-            label: app.name().to_string(),
-            values,
-        });
-    }
+        values
+    });
     emit(
         "fig06_runtime",
         "Run time normalized to NetCache (16 nodes, 32 KB shared cache)",

@@ -5,33 +5,19 @@
 //! and high (16 KB already holds the joint hot set); Moderate apps climb
 //! with size (except WF, whose joint working set dwarfs every size).
 
-use netcache_apps::AppId;
-use netcache_bench::{emit, machine, par_run, run_cell, Row};
-use netcache_core::{Arch, RunReport};
+use netcache_bench::{app_rows, emit, machine};
+use netcache_core::Arch;
 
 const SIZES_KB: [u64; 3] = [16, 32, 64];
 
 fn main() {
-    let rows: Vec<Row> = AppId::ALL
-        .iter()
-        .map(|&app| {
-            let jobs: Vec<Box<dyn FnOnce() -> RunReport + Send>> = SIZES_KB
-                .iter()
-                .map(|&kb| {
-                    let cfg = machine(Arch::NetCache).with_ring_kb(kb);
-                    Box::new(move || run_cell(&cfg, app)) as Box<dyn FnOnce() -> RunReport + Send>
-                })
-                .collect();
-            let reports = par_run(jobs);
-            Row {
-                label: app.name().to_string(),
-                values: reports
-                    .iter()
-                    .map(|r| 100.0 * r.shared_cache_hit_rate())
-                    .collect(),
-            }
-        })
-        .collect();
+    let cfgs = SIZES_KB.map(|kb| machine(Arch::NetCache).with_ring_kb(kb));
+    let rows = app_rows(&cfgs, |reports| {
+        reports
+            .iter()
+            .map(|r| 100.0 * r.shared_cache_hit_rate())
+            .collect()
+    });
     emit(
         "fig08_cache_size",
         "Shared-cache hit rates (%) vs capacity, 16 nodes",

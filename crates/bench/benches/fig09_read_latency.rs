@@ -5,34 +5,20 @@
 //! latency significantly (up to ~50% for SOR at 64 KB, average ~28% at
 //! 32 KB); Low-reuse apps barely move.
 
-use netcache_apps::AppId;
-use netcache_bench::{emit, machine, par_run, run_cell, Row};
-use netcache_core::{Arch, RunReport};
+use netcache_bench::{app_rows, emit, machine};
+use netcache_core::Arch;
 
 const SIZES_KB: [u64; 4] = [0, 16, 32, 64];
 
 fn main() {
-    let rows: Vec<Row> = AppId::ALL
-        .iter()
-        .map(|&app| {
-            let jobs: Vec<Box<dyn FnOnce() -> RunReport + Send>> = SIZES_KB
-                .iter()
-                .map(|&kb| {
-                    let cfg = machine(Arch::NetCache).with_ring_kb(kb);
-                    Box::new(move || run_cell(&cfg, app)) as Box<dyn FnOnce() -> RunReport + Send>
-                })
-                .collect();
-            let reports = par_run(jobs);
-            let base = reports[0].total_read_stall().max(1) as f64;
-            Row {
-                label: app.name().to_string(),
-                values: reports
-                    .iter()
-                    .map(|r| r.total_read_stall() as f64 / base)
-                    .collect(),
-            }
-        })
-        .collect();
+    let cfgs = SIZES_KB.map(|kb| machine(Arch::NetCache).with_ring_kb(kb));
+    let rows = app_rows(&cfgs, |reports| {
+        let base = reports[0].total_read_stall().max(1) as f64;
+        reports
+            .iter()
+            .map(|r| r.total_read_stall() as f64 / base)
+            .collect()
+    });
     emit(
         "fig09_read_latency",
         "Total read latency normalized to the no-shared-cache machine",

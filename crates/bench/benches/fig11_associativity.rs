@@ -5,33 +5,18 @@
 //! always well below the fully-associative organization — the result that
 //! justifies the NetCache's native design.
 
-use netcache_apps::AppId;
-use netcache_bench::{emit, machine, par_run, run_cell, Row};
-use netcache_core::{Arch, ChannelAssoc, RunReport};
+use netcache_bench::{app_rows, emit, machine};
+use netcache_core::{Arch, ChannelAssoc};
 
 fn main() {
-    let rows: Vec<Row> = AppId::ALL
-        .iter()
-        .map(|&app| {
-            let jobs: Vec<Box<dyn FnOnce() -> RunReport + Send>> =
-                [ChannelAssoc::Fully, ChannelAssoc::Direct]
-                    .iter()
-                    .map(|&assoc| {
-                        let cfg = machine(Arch::NetCache).with_assoc(assoc);
-                        Box::new(move || run_cell(&cfg, app))
-                            as Box<dyn FnOnce() -> RunReport + Send>
-                    })
-                    .collect();
-            let reports = par_run(jobs);
-            Row {
-                label: app.name().to_string(),
-                values: reports
-                    .iter()
-                    .map(|r| 100.0 * r.shared_cache_hit_rate())
-                    .collect(),
-            }
-        })
-        .collect();
+    let cfgs = [ChannelAssoc::Fully, ChannelAssoc::Direct]
+        .map(|assoc| machine(Arch::NetCache).with_assoc(assoc));
+    let rows = app_rows(&cfgs, |reports| {
+        reports
+            .iter()
+            .map(|r| 100.0 * r.shared_cache_hit_rate())
+            .collect()
+    });
     emit(
         "fig11_associativity",
         "32 KB shared-cache hit rates (%): fully-associative vs direct-mapped channels",

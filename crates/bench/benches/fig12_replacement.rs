@@ -6,31 +6,17 @@
 //! result the paper explains by the 4-block channels and the fact that all
 //! processors insert into the shared cache.
 
-use netcache_apps::AppId;
-use netcache_bench::{emit, machine, par_run, run_cell, Row};
-use netcache_core::{Arch, Replacement, RunReport};
+use netcache_bench::{app_rows, emit, machine};
+use netcache_core::{Arch, Replacement};
 
 fn main() {
-    let rows: Vec<Row> = AppId::ALL
-        .iter()
-        .map(|&app| {
-            let jobs: Vec<Box<dyn FnOnce() -> RunReport + Send>> = Replacement::ALL
-                .iter()
-                .map(|&pol| {
-                    let cfg = machine(Arch::NetCache).with_replacement(pol);
-                    Box::new(move || run_cell(&cfg, app)) as Box<dyn FnOnce() -> RunReport + Send>
-                })
-                .collect();
-            let reports = par_run(jobs);
-            Row {
-                label: app.name().to_string(),
-                values: reports
-                    .iter()
-                    .map(|r| 100.0 * r.shared_cache_hit_rate())
-                    .collect(),
-            }
-        })
-        .collect();
+    let cfgs = Replacement::ALL.map(|pol| machine(Arch::NetCache).with_replacement(pol));
+    let rows = app_rows(&cfgs, |reports| {
+        reports
+            .iter()
+            .map(|r| 100.0 * r.shared_cache_hit_rate())
+            .collect()
+    });
     emit(
         "fig12_replacement",
         "32 KB shared-cache hit rates (%) by replacement policy",

@@ -7,43 +7,19 @@
 //! the base 16 KB L2 — while Radix barely moves (terrible locality)
 //! except on DMON-I (fewer writebacks).
 
-use netcache_apps::AppId;
-use netcache_bench::{emit, machine, par_run, run_cell, Row};
-use netcache_core::{Arch, RunReport};
+use netcache_bench::{emit, trend_rows};
 
 const L2_KB: [u64; 3] = [16, 32, 64];
 
 fn main() {
-    let mut rows = Vec::new();
-    for app in [AppId::Radix, AppId::Gauss] {
-        for arch in [Arch::DmonI, Arch::LambdaNet, Arch::DmonU, Arch::NetCache] {
-            let jobs: Vec<Box<dyn FnOnce() -> RunReport + Send>> = L2_KB
-                .iter()
-                .map(|&kb| {
-                    let cfg = machine(arch).with_l2_kb(kb);
-                    Box::new(move || run_cell(&cfg, app)) as Box<dyn FnOnce() -> RunReport + Send>
-                })
-                .collect();
-            let reports = par_run(jobs);
-            rows.push(Row {
-                label: format!("{}-{}", app.name(), short(arch)),
-                values: reports.iter().map(|r| r.cycles as f64).collect(),
-            });
-        }
-    }
+    let rows = trend_rows(
+        |m| L2_KB.map(|kb| m.with_l2_kb(kb)),
+        |reports| reports.iter().map(|r| r.cycles as f64).collect(),
+    );
     emit(
         "fig13_l2_size",
         "Run time (pcycles) vs 2nd-level cache size",
         &["16 KB", "32 KB", "64 KB"],
         &rows,
     );
-}
-
-fn short(a: Arch) -> &'static str {
-    match a {
-        Arch::NetCache => "N",
-        Arch::LambdaNet => "L",
-        Arch::DmonU => "DU",
-        Arch::DmonI => "DI",
-    }
 }

@@ -8,43 +8,19 @@
 //! hit/miss latency gap grows with the rate, so the shared cache's benefit
 //! rises with faster optics.
 
-use netcache_apps::AppId;
-use netcache_bench::{emit, machine, par_run, run_cell, Row};
-use netcache_core::{Arch, RunReport};
+use netcache_bench::{emit, trend_rows};
 
 const RATES: [f64; 3] = [5.0, 10.0, 20.0];
 
 fn main() {
-    let mut rows = Vec::new();
-    for app in [AppId::Radix, AppId::Gauss] {
-        for arch in [Arch::DmonI, Arch::LambdaNet, Arch::DmonU, Arch::NetCache] {
-            let jobs: Vec<Box<dyn FnOnce() -> RunReport + Send>> = RATES
-                .iter()
-                .map(|&rate| {
-                    let cfg = machine(arch).with_rate_gbps(rate);
-                    Box::new(move || run_cell(&cfg, app)) as Box<dyn FnOnce() -> RunReport + Send>
-                })
-                .collect();
-            let reports = par_run(jobs);
-            rows.push(Row {
-                label: format!("{}-{}", app.name(), short(arch)),
-                values: reports.iter().map(|r| r.cycles as f64).collect(),
-            });
-        }
-    }
+    let rows = trend_rows(
+        |m| RATES.map(|rate| m.with_rate_gbps(rate)),
+        |reports| reports.iter().map(|r| r.cycles as f64).collect(),
+    );
     emit(
         "fig14_tx_rate",
         "Run time (pcycles) vs optical transmission rate",
         &["5 Gbps", "10 Gbps", "20 Gbps"],
         &rows,
     );
-}
-
-fn short(a: Arch) -> &'static str {
-    match a {
-        Arch::NetCache => "N",
-        Arch::LambdaNet => "L",
-        Arch::DmonU => "DU",
-        Arch::DmonI => "DI",
-    }
 }

@@ -6,47 +6,25 @@
 //! architecture will continue to increase" as the processor/memory gap
 //! widens).
 
-use netcache_apps::AppId;
-use netcache_bench::{emit, machine, par_run, run_cell, Row};
-use netcache_core::{Arch, RunReport};
+use netcache_bench::{emit, trend_rows};
 
 const LATENCIES: [u64; 3] = [44, 76, 108];
 
 fn main() {
-    let mut rows = Vec::new();
-    for app in [AppId::Radix, AppId::Gauss] {
-        for arch in [Arch::DmonI, Arch::LambdaNet, Arch::DmonU, Arch::NetCache] {
-            let jobs: Vec<Box<dyn FnOnce() -> RunReport + Send>> = LATENCIES
-                .iter()
-                .map(|&lat| {
-                    let cfg = machine(arch).with_mem_latency(lat);
-                    Box::new(move || run_cell(&cfg, app)) as Box<dyn FnOnce() -> RunReport + Send>
-                })
-                .collect();
-            let reports = par_run(jobs);
+    let rows = trend_rows(
+        |m| LATENCIES.map(|lat| m.with_mem_latency(lat)),
+        |reports| {
             let slope =
                 (reports[2].cycles as f64 - reports[0].cycles as f64) / reports[0].cycles as f64;
             let mut values: Vec<f64> = reports.iter().map(|r| r.cycles as f64).collect();
             values.push(100.0 * slope);
-            rows.push(Row {
-                label: format!("{}-{}", app.name(), short(arch)),
-                values,
-            });
-        }
-    }
+            values
+        },
+    );
     emit(
         "fig15_mem_latency",
         "Run time (pcycles) vs memory block read latency (last column: growth 44->108, %)",
         &["44 pc", "76 pc", "108 pc", "growth%"],
         &rows,
     );
-}
-
-fn short(a: Arch) -> &'static str {
-    match a {
-        Arch::NetCache => "N",
-        Arch::LambdaNet => "L",
-        Arch::DmonU => "DU",
-        Arch::DmonI => "DI",
-    }
 }

@@ -7,28 +7,28 @@
 //! ```
 
 use netcache_apps::AppId;
-use netcache_bench::{machine, run_cell};
+use netcache_bench::{machine, run};
 use netcache_core::Arch;
 
 fn main() {
+    let cells = AppId::ALL
+        .iter()
+        .flat_map(|&app| Arch::ALL.map(|arch| (machine(arch), app)))
+        .collect();
+    let reports = run(cells);
     println!(
         "{:<10} {:>12} {:>12} {:>12} {:>12}  {:>6} {:>7} {:>6}",
         "app", "NetCache", "LambdaNet", "DMON-U", "DMON-I", "hit%", "rdlat%", "sync%"
     );
-    for app in AppId::ALL {
-        let mut cycles = Vec::new();
-        let mut profile = (0.0, 0.0, 0.0);
-        for arch in Arch::ALL {
-            let r = run_cell(&machine(arch), app);
-            if arch == Arch::NetCache {
-                profile = (
-                    100.0 * r.shared_cache_hit_rate(),
-                    100.0 * r.read_latency_fraction(),
-                    100.0 * r.sync_fraction(),
-                );
-            }
-            cycles.push(r.cycles);
-        }
+    for (app, reports) in AppId::ALL.iter().zip(reports.chunks(Arch::ALL.len())) {
+        let cycles: Vec<u64> = reports.iter().map(|r| r.cycles).collect();
+        // Arch::ALL starts with NetCache, whose profile the table shows.
+        let r = &reports[0];
+        let profile = (
+            100.0 * r.shared_cache_hit_rate(),
+            100.0 * r.read_latency_fraction(),
+            100.0 * r.sync_fraction(),
+        );
         println!(
             "{:<10} {:>12} {:>12} {:>12} {:>12}  {:>6.1} {:>7.1} {:>6.1}",
             app.name(),

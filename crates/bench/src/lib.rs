@@ -2,9 +2,9 @@
 //!
 //! One bench target per table/figure of the paper (see `benches/`). This
 //! library holds what they share: the per-application input scales, the
-//! machine builders, thin wrappers over `netcache_core::sweep` (the
-//! parallel experiment engine all figures now run through), and the
-//! table/series printers that emit the same rows the paper reports.
+//! machine builders, [`run`] — which runs a figure's whole cell list as
+//! one `netcache_core::Sweep` — and the table/series printers that emit
+//! the same rows the paper reports.
 //!
 //! ## Knobs (environment variables)
 //!
@@ -13,20 +13,71 @@
 //! * `NETCACHE_PROCS` — machine size (default 16, the paper's).
 //! * `NETCACHE_JSON_DIR` — if set, every experiment also dumps its rows as
 //!   JSON into this directory (for plotting).
+//!
+//! A `NETCACHE_SCALE` or `NETCACHE_PROCS` value that does not parse, or a
+//! machine size the simulator cannot build, exits 2 naming the variable
+//! before any cell runs.
 
 use std::io::Write as _;
 
-use netcache_apps::{AppId, Workload};
-use netcache_core::{run_app, Arch, RunReport, SysConfig};
+use netcache_apps::AppId;
+use netcache_core::sweep::default_jobs;
+use netcache_core::{Arch, RunReport, Sweep, SweepPoint, SysConfig};
 
-/// Default per-application input scale for bench runs.
+/// Parses the `NETCACHE_PROCS` and `NETCACHE_SCALE` values (`None` when
+/// unset) into the node count and the scale multiplier. The node count
+/// must build every architecture's base machine, and the multiplier must
+/// be positive and finite; an error names the variable.
+pub fn parse_knobs(procs: Option<&str>, scale: Option<&str>) -> Result<(usize, f64), String> {
+    let procs = match procs {
+        None => 16,
+        Some(v) => v
+            .parse()
+            .map_err(|_| format!("invalid NETCACHE_PROCS={v:?}: expected a node count"))?,
+    };
+    let bad_machine = Arch::ALL
+        .iter()
+        .find_map(|&a| SysConfig::base(a).with_nodes(procs).validate().err());
+    if let Some(e) = bad_machine {
+        return Err(format!("invalid NETCACHE_PROCS={procs}: {e}"));
+    }
+    let mult = match scale {
+        None => 1.0,
+        Some(v) => v
+            .parse()
+            .ok()
+            .filter(|m: &f64| *m > 0.0 && m.is_finite())
+            .ok_or_else(|| {
+                format!("invalid NETCACHE_SCALE={v:?}: expected a positive multiplier")
+            })?,
+    };
+    Ok((procs, mult))
+}
+
+/// Exits 2 with `msg`: a bad knob is user input, not a harness panic.
+fn exit_bad_env(msg: &str) -> ! {
+    eprintln!("{msg}");
+    std::process::exit(2)
+}
+
+/// [`parse_knobs`] on the environment; exits 2 naming a bad variable.
+fn knobs() -> (usize, f64) {
+    let var = |k| std::env::var(k).ok();
+    parse_knobs(
+        var("NETCACHE_PROCS").as_deref(),
+        var("NETCACHE_SCALE").as_deref(),
+    )
+    .unwrap_or_else(|e| exit_bad_env(&e))
+}
+
+/// Per-application input scale for bench runs at multiplier `mult`.
 ///
 /// The paper's MINT simulations ran for hours; these scales keep every
 /// figure reproducible in minutes while preserving each application's
 /// working-set *structure* (grids and graphs keep their paper sizes where
 /// that is what determines reuse; iteration counts shrink instead — each
 /// app's `Params::scaled` documents its policy).
-pub fn default_scale(app: AppId) -> f64 {
+fn scaled(app: AppId, mult: f64) -> f64 {
     let base = match app {
         AppId::Cg => 0.2,
         AppId::Em3d => 0.5,
@@ -41,24 +92,19 @@ pub fn default_scale(app: AppId) -> f64 {
         AppId::Water => 0.5, // 2 timesteps
         AppId::Wf => 0.08,
     };
-    let mult: f64 = std::env::var("NETCACHE_SCALE")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(1.0);
     (base * mult).clamp(0.005, 1.0)
+}
+
+/// Default per-application input scale for bench runs: a per-app base
+/// scale times the `NETCACHE_SCALE` multiplier, clamped to the
+/// workload's range.
+pub fn default_scale(app: AppId) -> f64 {
+    scaled(app, knobs().1)
 }
 
 /// Machine size for the experiments (paper: 16).
 pub fn procs() -> usize {
-    std::env::var("NETCACHE_PROCS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(16)
-}
-
-/// The workload for `app` at its bench scale.
-pub fn workload(app: AppId) -> Workload {
-    Workload::new(app, procs()).scale(default_scale(app))
+    knobs().0
 }
 
 /// The base machine for `arch` at the bench node count.
@@ -66,36 +112,90 @@ pub fn machine(arch: Arch) -> SysConfig {
     SysConfig::base(arch).with_nodes(procs())
 }
 
-/// Runs one (config, app) cell; the workload takes its processor count
-/// from the configuration so sweeps over machine sizes just work.
-pub fn run_cell(cfg: &SysConfig, app: AppId) -> RunReport {
-    run_app(
-        cfg,
-        &Workload::new(app, cfg.nodes).scale(default_scale(app)),
-    )
+/// Runs a figure's `(config, app)` cells as one sweep on every host core
+/// and returns the reports in cell order. Each workload runs at
+/// [`default_scale`] on the configuration's own node count. Every
+/// configuration is validated before anything runs; an invalid one exits
+/// 2 naming `NETCACHE_PROCS`, the knob that sized it.
+pub fn run(cells: Vec<(SysConfig, AppId)>) -> Vec<RunReport> {
+    let (procs, mult) = knobs();
+    let points = cells
+        .into_iter()
+        .map(|(cfg, app)| {
+            let point = SweepPoint::new(cfg, app, scaled(app, mult));
+            if let Err(e) = cfg.validate() {
+                exit_bad_env(&format!(
+                    "invalid NETCACHE_PROCS={procs}: machine {} fails: {e}",
+                    point.label
+                ));
+            }
+            point
+        })
+        .collect();
+    Sweep::from_points(points)
+        .run(default_jobs())
+        .into_reports()
 }
 
-/// The paper's full evaluation grid — every architecture × every
-/// application at the bench node count and per-app scales — as a sweep
-/// ready to run (`paper_grid().run(jobs)`).
-pub fn paper_grid() -> netcache_core::Sweep {
-    netcache_core::SweepSpec::new()
-        .archs(Arch::ALL)
-        .all_apps()
-        .nodes([procs()])
-        .scale_for(default_scale)
-        .build()
+/// Runs a table's cells as one sweep ([`run`]) and makes one [`Row`]
+/// per `(label, cells)` entry from `values(reports)`, the reports of that
+/// entry's cells in order.
+fn table(
+    rows: Vec<(String, Vec<(SysConfig, AppId)>)>,
+    values: impl Fn(&[RunReport]) -> Vec<f64>,
+) -> Vec<Row> {
+    let mut reports = run(rows.iter().flat_map(|(_, c)| c.iter().copied()).collect()).into_iter();
+    rows.into_iter()
+        .map(|(label, cells)| {
+            let reports: Vec<RunReport> = reports.by_ref().take(cells.len()).collect();
+            Row {
+                label,
+                values: values(&reports),
+            }
+        })
+        .collect()
 }
 
-/// Runs a set of independent jobs across every host core, returning the
-/// results in input order. A thin wrapper over the sweep engine's
-/// [`netcache_core::sweep::par_map`] — one pool implementation serves
-/// the figures, the CLI and the library helpers.
-pub fn par_run<T: Send>(jobs: Vec<Box<dyn FnOnce() -> T + Send>>) -> Vec<T> {
-    let workers = std::thread::available_parallelism()
-        .map(|p| p.get())
-        .unwrap_or(2);
-    netcache_core::sweep::par_map(jobs, workers, |_, f| f())
+/// One row per application (in `AppId::ALL` order, labelled with its
+/// name) over the machines `cfgs`: `values` gets the application's
+/// reports in `cfgs` order.
+pub fn app_rows(cfgs: &[SysConfig], values: impl Fn(&[RunReport]) -> Vec<f64>) -> Vec<Row> {
+    let rows = AppId::ALL
+        .iter()
+        .map(|&app| {
+            (
+                app.name().to_string(),
+                cfgs.iter().map(|&c| (c, app)).collect(),
+            )
+        })
+        .collect();
+    table(rows, values)
+}
+
+/// The rows of the Figs. 13–15 trend plots: Radix then Gauss, each on
+/// DMON-I, LambdaNet, DMON-U and NetCache (labelled `radix-DI`, ...),
+/// run on `variants` of that architecture's bench machine; `values` gets
+/// the row's reports in `variants` order.
+pub fn trend_rows<const N: usize>(
+    variants: impl Fn(SysConfig) -> [SysConfig; N],
+    values: impl Fn(&[RunReport]) -> Vec<f64>,
+) -> Vec<Row> {
+    let short = |a: Arch| match a {
+        Arch::NetCache => "N",
+        Arch::LambdaNet => "L",
+        Arch::DmonU => "DU",
+        Arch::DmonI => "DI",
+    };
+    let rows = [AppId::Radix, AppId::Gauss]
+        .into_iter()
+        .flat_map(|app| {
+            [Arch::DmonI, Arch::LambdaNet, Arch::DmonU, Arch::NetCache].map(|arch| {
+                let cells = variants(machine(arch)).map(|c| (c, app)).to_vec();
+                (format!("{}-{}", app.name(), short(arch)), cells)
+            })
+        })
+        .collect();
+    table(rows, values)
 }
 
 /// One row of an emitted experiment table.
@@ -181,18 +281,48 @@ mod tests {
 
     #[test]
     fn par_run_preserves_order() {
-        let jobs: Vec<Box<dyn FnOnce() -> usize + Send>> = (0..16usize)
-            .map(|i| Box::new(move || i * i) as Box<dyn FnOnce() -> usize + Send>)
+        // Mixed architectures and node counts: the i-th report must come
+        // from the i-th cell whatever order the pool finishes them in.
+        let cells = vec![
+            (SysConfig::base(Arch::DmonI).with_nodes(2), AppId::Sor),
+            (SysConfig::base(Arch::NetCache).with_nodes(4), AppId::Radix),
+            (SysConfig::base(Arch::LambdaNet).with_nodes(1), AppId::Wf),
+            (SysConfig::base(Arch::DmonU).with_nodes(2), AppId::Sor),
+        ];
+        let want: Vec<(&str, usize)> = cells
+            .iter()
+            .map(|(cfg, _)| (cfg.arch.name(), cfg.nodes))
             .collect();
-        let out = par_run(jobs);
-        assert_eq!(out, (0..16).map(|i| i * i).collect::<Vec<_>>());
+        let got: Vec<(&str, usize)> = run(cells).iter().map(|r| (r.arch, r.nodes.len())).collect();
+        assert_eq!(got, want);
     }
 
     #[test]
     fn run_cell_smoke() {
         std::env::set_var("NETCACHE_SCALE", "0.2");
-        let r = run_cell(&machine(Arch::NetCache).with_nodes(4), AppId::Water);
-        assert!(r.cycles > 0);
+        let r = run(vec![(machine(Arch::NetCache).with_nodes(4), AppId::Water)]);
+        assert!(r[0].cycles > 0);
         std::env::remove_var("NETCACHE_SCALE");
+    }
+
+    #[test]
+    fn knobs_default_to_the_paper_machine() {
+        assert_eq!(parse_knobs(None, None), Ok((16, 1.0)));
+        assert_eq!(parse_knobs(Some("4"), Some("0.05")), Ok((4, 0.05)));
+    }
+
+    #[test]
+    fn bad_knobs_name_the_variable() {
+        // Unparseable, or a machine the simulator cannot build: 128
+        // channels do not split over 20 nodes, 0 nodes is no machine,
+        // and sharer sets cap a machine at 64 nodes.
+        for v in ["sixteen", "", "-4", "2.5", "20", "0", "128"] {
+            let e = parse_knobs(Some(v), None).expect_err(v);
+            assert!(e.contains("NETCACHE_PROCS"), "{v}: {e}");
+        }
+        for v in ["fast", "", "0", "-1", "nan", "inf"] {
+            let e = parse_knobs(None, Some(v)).expect_err(v);
+            assert!(e.contains("NETCACHE_SCALE"), "{v}: {e}");
+        }
     }
 }

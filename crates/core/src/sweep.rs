@@ -10,14 +10,15 @@
 //! This module is the one substrate all experiment drivers go through:
 //!
 //! * [`SweepSpec`] — a typed builder for the grid axes (arch, app, node
-//!   count, input scale, ring/L2 size overrides);
-//! * [`Sweep`] — the resolved point list; [`Sweep::run`] fans the points
-//!   out over a scoped worker pool, [`Sweep::run_serial`] is the
-//!   single-threaded fallback the property tests compare against;
+//!   count, ring size, topology) at one input scale;
+//! * [`Sweep`] — the resolved point list (or any explicit list, via
+//!   [`Sweep::from_points`]); [`Sweep::run_stored`] is the one runner of
+//!   a cell set — it consults and writes back the result store and fans
+//!   the remaining cells out over a scoped worker pool. `runner::compare`,
+//!   `runner::speedup`, the CLI and the figure harness all go through it;
 //! * [`SweepResult`] — reports in **grid order** (never completion
 //!   order) with per-run wall times, plus JSON/CSV emission;
-//! * [`par_map`] — the underlying generic ordered parallel map, reused
-//!   by `runner::compare`/`runner::speedup` and the bench harness.
+//! * [`par_map_with`] — the underlying generic ordered parallel map.
 //!
 //! ## Why determinism survives parallel execution
 //!
@@ -25,7 +26,8 @@
 //! protocol state, RNG seeded from `SysConfig::seed`); threads share
 //! nothing but the work queue and the output slots. A sweep's reports
 //! are therefore bit-identical however the points are scheduled — which
-//! [`Sweep::run_serial`] lets tests assert directly.
+//! tests assert directly by comparing `run(j)` against `run(1)`, whose
+//! cells run inline on the caller's thread with no pool at all.
 
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Mutex, MutexGuard, PoisonError};
@@ -33,7 +35,7 @@ use std::time::{Duration, Instant};
 
 use netcache_apps::{AppId, Workload};
 
-use crate::config::{Arch, ChannelAssoc, Replacement, RingConfig, SysConfig, TopoKind};
+use crate::config::{Arch, RingConfig, SysConfig, TopoKind};
 use crate::json;
 use crate::machine::{run_workload, EngineScratch};
 use crate::metrics::RunReport;
@@ -107,8 +109,7 @@ impl SweepPoint {
 /// Axes default to a single value (the paper's base machine: NetCache,
 /// 16 nodes, scale 0.1) so a spec only names what it varies. Points are
 /// generated in a fixed nested order — arch outermost, then app, nodes,
-/// scale, ring override, L2 override, topology innermost — and
-/// [`SweepResult`] preserves it.
+/// ring override, topology innermost — and [`SweepResult`] preserves it.
 ///
 /// ```
 /// use netcache_core::sweep::SweepSpec;
@@ -130,16 +131,9 @@ pub struct SweepSpec {
     archs: Vec<Arch>,
     apps: Vec<AppId>,
     nodes: Vec<usize>,
-    scales: Vec<f64>,
+    scale: f64,
     /// Ring-size override axis in KB (`None` = keep the arch's base ring).
     ring_kb: Vec<Option<u64>>,
-    /// L2-size override axis in KB (`None` = base 16 KB).
-    l2_kb: Vec<Option<u64>>,
-    replacement: Option<Replacement>,
-    assoc: Option<ChannelAssoc>,
-    mem_latency: Option<u64>,
-    /// Per-app scale policy; overrides the `scales` axis when set.
-    scale_for: Option<fn(AppId) -> f64>,
     /// Topology axis: `(kind, rings)` pairs (`rings` is meaningful for
     /// multi-ring only and must be 1 otherwise).
     topos: Vec<(TopoKind, usize)>,
@@ -159,13 +153,8 @@ impl SweepSpec {
             archs: vec![Arch::NetCache],
             apps: Vec::new(),
             nodes: vec![16],
-            scales: vec![0.1],
+            scale: 0.1,
             ring_kb: vec![None],
-            l2_kb: vec![None],
-            replacement: None,
-            assoc: None,
-            mem_latency: None,
-            scale_for: None,
             topos: vec![(TopoKind::Single, 1)],
         }
     }
@@ -201,21 +190,9 @@ impl SweepSpec {
         self
     }
 
-    /// Input-scale axis.
-    pub fn scales(mut self, scales: impl IntoIterator<Item = f64>) -> Self {
-        self.scales = scales.into_iter().collect();
-        self
-    }
-
-    /// Single input scale (the common case).
-    pub fn scale(self, s: f64) -> Self {
-        self.scales([s])
-    }
-
-    /// Per-application scale policy (e.g. the bench harness's per-app
-    /// defaults); overrides the scale axis.
-    pub fn scale_for(mut self, f: fn(AppId) -> f64) -> Self {
-        self.scale_for = Some(f);
+    /// The input scale every point runs at.
+    pub fn scale(mut self, s: f64) -> Self {
+        self.scale = s;
         self
     }
 
@@ -224,31 +201,6 @@ impl SweepSpec {
     /// ring, so they keep one base cell rather than duplicating.
     pub fn ring_kb(mut self, kbs: impl IntoIterator<Item = u64>) -> Self {
         self.ring_kb = kbs.into_iter().map(Some).collect();
-        self
-    }
-
-    /// L2 size axis in KB (Fig. 13).
-    pub fn l2_kb(mut self, kbs: impl IntoIterator<Item = u64>) -> Self {
-        self.l2_kb = kbs.into_iter().map(Some).collect();
-        self
-    }
-
-    /// Fixed ring replacement policy override (Fig. 12 runs one spec per
-    /// policy).
-    pub fn replacement(mut self, r: Replacement) -> Self {
-        self.replacement = Some(r);
-        self
-    }
-
-    /// Fixed ring channel-associativity override (Fig. 11).
-    pub fn assoc(mut self, a: ChannelAssoc) -> Self {
-        self.assoc = Some(a);
-        self
-    }
-
-    /// Fixed memory-latency override (Fig. 15).
-    pub fn mem_latency(mut self, lat: u64) -> Self {
-        self.mem_latency = Some(lat);
         self
     }
 
@@ -270,11 +222,6 @@ impl SweepSpec {
     /// If the app axis is empty.
     pub fn try_build(self) -> Result<Sweep, String> {
         assert!(!self.apps.is_empty(), "sweep needs at least one app");
-        let scales: Vec<f64> = if self.scale_for.is_some() {
-            vec![f64::NAN] // placeholder; replaced per app below
-        } else {
-            self.scales.clone()
-        };
         let mut points = Vec::new();
         let base_ring = [None];
         for &arch in &self.archs {
@@ -288,35 +235,15 @@ impl SweepSpec {
             };
             for &app in &self.apps {
                 for &nodes in &self.nodes {
-                    for &scale in &scales {
-                        for &ring in ring_axis {
-                            for &l2 in &self.l2_kb {
-                                for &(kind, rings) in &self.topos {
-                                    let mut cfg = SysConfig::base(arch).with_nodes(nodes);
-                                    if let Some(kb) = ring {
-                                        cfg = cfg.with_ring_kb(kb);
-                                    }
-                                    if let Some(kb) = l2 {
-                                        cfg = cfg.with_l2_kb(kb);
-                                    }
-                                    if let Some(r) = self.replacement {
-                                        cfg = cfg.with_replacement(r);
-                                    }
-                                    if let Some(a) = self.assoc {
-                                        cfg = cfg.with_assoc(a);
-                                    }
-                                    if let Some(lat) = self.mem_latency {
-                                        cfg = cfg.with_mem_latency(lat);
-                                    }
-                                    cfg = cfg.with_topology(kind).with_rings(rings);
-                                    cfg.validate()?;
-                                    let scale = match self.scale_for {
-                                        Some(f) => f(app),
-                                        None => scale,
-                                    };
-                                    points.push(SweepPoint::new(cfg, app, scale));
-                                }
+                    for &ring in ring_axis {
+                        for &(kind, rings) in &self.topos {
+                            let mut cfg = SysConfig::base(arch).with_nodes(nodes);
+                            if let Some(kb) = ring {
+                                cfg = cfg.with_ring_kb(kb);
                             }
+                            cfg = cfg.with_topology(kind).with_rings(rings);
+                            cfg.validate()?;
+                            points.push(SweepPoint::new(cfg, app, self.scale));
                         }
                     }
                 }
@@ -437,52 +364,6 @@ impl Sweep {
             jobs: jobs.clamp(1, total.max(1)),
         }
     }
-
-    /// Single-threaded reference execution: identical semantics, no
-    /// worker pool at all. The property tests assert `run_serial()` and
-    /// `run(j)` produce bit-identical reports.
-    pub fn run_serial(&self) -> SweepResult {
-        self.run_serial_stored(None)
-    }
-
-    /// [`Sweep::run_serial`] reading through an on-disk result store
-    /// (same consult/write-back contract as [`Sweep::run_stored`]).
-    pub fn run_serial_stored(&self, store: Option<&Store>) -> SweepResult {
-        let t0 = Instant::now();
-        let mut scratch = EngineScratch::new();
-        let runs = self
-            .points
-            .iter()
-            .map(|p| {
-                let rt0 = Instant::now();
-                let (report, cached) = match store.map(|st| st.load_point(p)) {
-                    Some(Ok(report)) => (report, true),
-                    _ => {
-                        let report = p.run_with(&mut scratch);
-                        if let Some(st) = store {
-                            st.save_point(p, &report);
-                        }
-                        (report, false)
-                    }
-                };
-                SweepRun {
-                    label: p.label.clone(),
-                    arch: report.arch,
-                    app: p.app,
-                    nodes: p.cfg.nodes,
-                    scale: p.scale,
-                    wall: rt0.elapsed(),
-                    report,
-                    cached,
-                }
-            })
-            .collect();
-        SweepResult {
-            runs,
-            wall: t0.elapsed(),
-            jobs: 1,
-        }
-    }
 }
 
 /// One completed cell.
@@ -522,8 +403,8 @@ pub struct SweepResult {
 
 impl SweepResult {
     /// The reports alone, in grid order.
-    pub fn reports(&self) -> Vec<&RunReport> {
-        self.runs.iter().map(|r| &r.report).collect()
+    pub fn into_reports(self) -> Vec<RunReport> {
+        self.runs.into_iter().map(|r| r.report).collect()
     }
 
     /// How many cells were served from the result store.
@@ -714,23 +595,10 @@ impl SweepObserver for StderrProgress {
     }
 }
 
-/// Ordered parallel map over owned items: applies `f(index, item)` on a
-/// pool of `jobs` scoped threads and returns outputs in **input order**,
-/// regardless of completion order. `jobs <= 1` (or a single item) runs
-/// inline on the caller's thread with no pool at all.
-///
-/// This is the workspace's only threading primitive; `crossbeam::scope`'s
-/// role is covered by [`std::thread::scope`] (stable since Rust 1.63).
-///
-/// # Panics
-/// Propagates the first worker panic after the scope joins.
-pub fn par_map<I, O, F>(items: Vec<I>, jobs: usize, f: F) -> Vec<O>
-where
-    I: Send,
-    O: Send,
-    F: Fn(usize, I) -> O + Sync,
-{
-    par_map_with(items, jobs, || (), |(), i, x| f(i, x))
+/// Worker count for a sweep whose caller names none: every host core
+/// (the cells are independent simulations), or 1 if the host cannot say.
+pub fn default_jobs() -> usize {
+    std::thread::available_parallelism().map_or(1, |p| p.get())
 }
 
 /// Locks `m`, recovering the payload from a poisoned mutex. Poisoning
@@ -745,14 +613,20 @@ fn lock_recovering<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
-/// [`par_map`] with per-worker state: every worker thread builds one `S`
-/// via `init()` when it starts and threads it through each `f` call it
-/// executes. The sweep engine uses this to reuse engine allocations
-/// ([`EngineScratch`]) across the cells a worker runs — state never
-/// crosses threads, so determinism is untouched.
+/// Ordered parallel map over owned items with per-worker state: applies
+/// `f(state, index, item)` on a pool of `jobs` scoped threads and returns
+/// outputs in **input order**, regardless of completion order. Every
+/// worker thread builds one `S` via `init()` when it starts and threads
+/// it through each `f` call it executes. The sweep engine uses this to
+/// reuse engine allocations ([`EngineScratch`]) across the cells a worker
+/// runs — state never crosses threads, so determinism is untouched.
 ///
 /// With `jobs <= 1` (or a single item) everything runs inline on the
-/// caller's thread with a single state.
+/// caller's thread with a single state and no pool at all: the pool-free
+/// reference that the determinism tests compare pooled runs against.
+///
+/// This is the workspace's only threading primitive; `crossbeam::scope`'s
+/// role is covered by [`std::thread::scope`] (stable since Rust 1.63).
 ///
 /// # Panics
 /// Propagates the **first** worker panic — with its original payload,
@@ -842,13 +716,18 @@ mod tests {
     fn par_map_returns_input_order() {
         // Make later items finish first: earlier items spin longest.
         let items: Vec<u64> = (0..32).collect();
-        let out = par_map(items, 8, |i, x| {
-            let mut acc = 0u64;
-            for k in 0..(32 - i as u64) * 10_000 {
-                acc = acc.wrapping_add(k);
-            }
-            (x * 2, acc)
-        });
+        let out = par_map_with(
+            items,
+            8,
+            || (),
+            |(), i, x| {
+                let mut acc = 0u64;
+                for k in 0..(32 - i as u64) * 10_000 {
+                    acc = acc.wrapping_add(k);
+                }
+                (x * 2, acc)
+            },
+        );
         for (i, (v, _)) in out.iter().enumerate() {
             assert_eq!(*v, i as u64 * 2);
         }
@@ -931,8 +810,11 @@ mod tests {
     #[test]
     fn par_map_empty_and_single() {
         let empty: Vec<u32> = Vec::new();
-        assert!(par_map(empty, 4, |_, x: u32| x).is_empty());
-        assert_eq!(par_map(vec![7u32], 4, |_, x| x + 1), vec![8]);
+        assert!(par_map_with(empty, 4, || (), |(), _, x: u32| x).is_empty());
+        assert_eq!(
+            par_map_with(vec![7u32], 4, || (), |(), _, x| x + 1),
+            vec![8]
+        );
     }
 
     #[test]
@@ -996,7 +878,7 @@ mod tests {
             .scale(0.01)
             .build();
         let par = sweep.run(4);
-        let ser = sweep.run_serial();
+        let ser = sweep.run(1);
         assert_eq!(par.runs.len(), ser.runs.len());
         for (a, b) in par.runs.iter().zip(ser.runs.iter()) {
             assert_eq!(a.label, b.label);
@@ -1025,7 +907,7 @@ mod tests {
             .nodes([2])
             .scale(0.01)
             .build();
-        let res = sweep.run_serial();
+        let res = sweep.run(1);
         let csv = res.to_csv();
         assert_eq!(csv.lines().count(), 2);
         assert!(csv.starts_with("label,arch,app,"));
@@ -1123,7 +1005,7 @@ mod tests {
             .nodes([2])
             .scale(0.01)
             .build();
-        let mut res = sweep.run_serial();
+        let mut res = sweep.run(1);
         // Adversarial label: quote, backslash, newline, and a raw control
         // character. Pre-escaping, any of these makes the document
         // unparseable (or silently truncates the string).

@@ -7,7 +7,7 @@
 //! netcache sweep [apps...] [--archs A,B|all] [--jobs N] [--scale S]
 //!                [--procs P] [--ring-kbs K,K,...] [--topology T] [--rings C]
 //!                [--json F] [--csv F]
-//!                [--serial] [--quiet] [--store DIR|--no-store]  # grid sweep engine
+//!                [--quiet] [--store DIR|--no-store]  # grid sweep engine
 //! netcache trace <app> <dir> [--scale S] [--procs P]   # dump op streams
 //! netcache replay <dir> [--arch A] [--procs P]         # run dumped traces
 //! netcache profile <app> [--scale S] [--procs P]       # stream statistics
@@ -25,8 +25,9 @@
 //! `sweep` runs the full (architecture × application) grid by default —
 //! the paper's Fig. 6 — fanning independent simulations across `--jobs`
 //! worker threads (default: every host core). Reports always come back
-//! in grid order and are bit-identical to a `--serial` run; see
-//! DESIGN.md on why determinism survives parallel execution.
+//! in grid order and are bit-identical to a `--jobs 1` run, whose cells
+//! run on the main thread with no pool; see DESIGN.md on why determinism
+//! survives parallel execution.
 //!
 //! `--store DIR` points `sweep`/`compare` at a content-addressed on-disk
 //! result store: cells already present (same config, workload, and
@@ -42,7 +43,9 @@ use std::process::exit;
 use netcache::apps::{trace, AppId, Op, Workload};
 use netcache::json::{self, Value};
 use netcache::mem::AddressMap;
-use netcache::sweep::{NoopObserver, StderrProgress, SweepObserver, SweepResult, SweepSpec};
+use netcache::sweep::{
+    default_jobs, NoopObserver, StderrProgress, SweepObserver, SweepResult, SweepSpec,
+};
 use netcache::{run_app, run_streams, Arch, EngineScratch, Store, SysConfig, TopoKind};
 
 struct Args {
@@ -60,7 +63,6 @@ struct Args {
     jobs: Option<usize>,
     json: Option<String>,
     csv: Option<String>,
-    serial: bool,
     quiet: bool,
     baseline: Option<String>,
     tolerance: f64,
@@ -77,8 +79,8 @@ fn usage() -> ! {
          [--arch netcache|lambdanet|dmon-u|dmon-i] [--scale S] [--procs P] [--ring-kb K] \
          [--topology single|multi-ring|star-of-rings] [--rings C]\n\
          sweep flags: [--archs A,B|all] [--jobs N] [--ring-kbs K,K,...] \
-         [--json FILE] [--csv FILE] [--serial] [--quiet] [--store DIR|--no-store]\n\
-         bench-compare flags: --baseline FILE [--tolerance T]\n\
+         [--json FILE] [--csv FILE] [--quiet] [--store DIR|--no-store]\n\
+         bench-compare flags: --baseline FILE [--tolerance T in [0, 1)]\n\
          bench-engine flags: [--update-baseline] [--json FILE] [--store DIR] (neither: dry run)\n\
          --store DIR caches results on disk (sweep/compare serve cached cells, \
          bench-engine seeds); --no-store forces recomputation"
@@ -119,6 +121,19 @@ fn parse_scale(v: &str) -> f64 {
     s
 }
 
+/// Parses `--tolerance`: the fraction of baseline throughput the gate
+/// may lose, in [0, 1). Outside it (or NaN) the comparison
+/// `cur < base * (1 - tolerance)` can never fire, so the gate would pass
+/// every regression silently.
+fn parse_tolerance(v: &str) -> f64 {
+    let t: f64 = parse_num("--tolerance", v);
+    if !(0.0..1.0).contains(&t) {
+        eprintln!("invalid value {v:?} for --tolerance: must be in [0, 1)");
+        exit(2)
+    }
+    t
+}
+
 fn parse_arch(name: &str) -> Arch {
     match name.to_lowercase().as_str() {
         "netcache" => Arch::NetCache,
@@ -146,7 +161,6 @@ fn parse_args() -> Args {
         jobs: None,
         json: None,
         csv: None,
-        serial: false,
         quiet: false,
         baseline: None,
         tolerance: 0.15,
@@ -190,15 +204,12 @@ fn parse_args() -> Args {
             "--jobs" => args.jobs = Some(parse_count("--jobs", &grab("--jobs"))),
             "--json" => args.json = Some(grab("--json")),
             "--csv" => args.csv = Some(grab("--csv")),
-            "--serial" => args.serial = true,
             "--quiet" => args.quiet = true,
             "--baseline" => args.baseline = Some(grab("--baseline")),
             "--update-baseline" => args.update_baseline = true,
             "--store" => args.store = Some(grab("--store")),
             "--no-store" => args.no_store = true,
-            "--tolerance" => {
-                args.tolerance = parse_num("--tolerance", &grab("--tolerance"));
-            }
+            "--tolerance" => args.tolerance = parse_tolerance(&grab("--tolerance")),
             _ if a.starts_with("--") => {
                 eprintln!("unknown flag {a}");
                 usage()
@@ -322,7 +333,7 @@ fn engine_sweep(args: &Args) -> netcache::Sweep {
 }
 
 fn engine_grid(args: &Args) -> SweepResult {
-    engine_sweep(args).run_serial()
+    engine_sweep(args).run(1)
 }
 
 /// Grid-wide engine-throughput aggregates.
@@ -493,8 +504,7 @@ fn main() {
                 machine_or_exit(cfg.validate(), &args);
             }
             let store = open_store(&args);
-            let reports =
-                netcache::compare_stored(cfgs.iter(), app, args.procs, args.scale, store.as_ref());
+            let reports = netcache::compare(cfgs.iter(), app, args.scale, store.as_ref());
             let base = reports[0].cycles;
             for r in &reports {
                 println!(
@@ -529,22 +539,14 @@ fn main() {
                 spec = spec.topologies([(cfg.topo.kind, cfg.topo.rings)]);
             }
             let sweep = machine_or_exit(spec.try_build(), &args);
-            let jobs = args.jobs.unwrap_or_else(|| {
-                std::thread::available_parallelism()
-                    .map(|p| p.get())
-                    .unwrap_or(1)
-            });
             let store = open_store(&args);
-            let result = if args.serial {
-                sweep.run_serial_stored(store.as_ref())
+            let obs: &dyn SweepObserver = if args.quiet {
+                &NoopObserver
             } else {
-                let obs: &dyn SweepObserver = if args.quiet {
-                    &NoopObserver
-                } else {
-                    &StderrProgress
-                };
-                sweep.run_stored(jobs, obs, store.as_ref())
+                &StderrProgress
             };
+            let result =
+                sweep.run_stored(args.jobs.unwrap_or_else(default_jobs), obs, store.as_ref());
             println!(
                 "{:<32} {:>14} {:>10} {:>10}",
                 "cell", "cycles", "sc-hit %", "wall ms"
@@ -633,7 +635,7 @@ fn main() {
             paths.sort();
             if paths.is_empty() {
                 eprintln!("no .trace files in {dir}");
-                exit(1);
+                exit(2);
             }
             let mut traces: Vec<Vec<Op>> = paths
                 .iter()
@@ -644,7 +646,7 @@ fn main() {
                     );
                     trace::load(f).unwrap_or_else(|e| {
                         eprintln!("{}: {e}", p.display());
-                        exit(1)
+                        exit(2)
                     })
                 })
                 .collect();

@@ -234,6 +234,38 @@ fn out_of_range_scale_exits_two_naming_the_flag() {
     let _ = std::fs::remove_dir_all(dir);
 }
 
+/// `--tolerance` is the fraction of baseline throughput the gate may
+/// lose, in [0, 1). Outside it (or NaN) `cur < base * (1 - tolerance)`
+/// can never fire, so the gate would pass every regression: exit 2
+/// naming the flag at parse time, before measuring anything.
+#[test]
+fn out_of_range_tolerance_exits_two_naming_the_flag() {
+    let dir = scratch("bad-tolerance");
+    let path = dir.join("BENCH_engine.json");
+    std::fs::write(&path, "{\"cells\": [], \"events_per_sec\": 1}").unwrap();
+    for v in ["nan", "-0.1", "1", "1.5"] {
+        let args = [
+            "bench-compare",
+            "--baseline",
+            path.to_str().unwrap(),
+            "--procs",
+            "2",
+            "--scale",
+            "0.01",
+            "--tolerance",
+            v,
+        ];
+        let out = netcache(&args);
+        let err = stderr_of(&out);
+        assert_eq!(out.status.code(), Some(2), "{args:?}, stderr: {err}");
+        assert!(
+            err.contains("--tolerance"),
+            "{args:?}: flag not named: {err}"
+        );
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// Writes `files` (name, contents) into a fresh trace directory.
 fn trace_dir(tag: &str, files: &[(String, &str)]) -> PathBuf {
     let dir = scratch(tag);
@@ -332,4 +364,35 @@ fn replay_of_unbalanced_locks_exits_two_naming_the_file() {
         assert!(err.contains(cause), "{tag}: cause not named: {err}");
         let _ = std::fs::remove_dir_all(&dir);
     }
+}
+
+/// A trace file that does not parse is bad input like any other file:
+/// exit 2 naming the file and the cause.
+#[test]
+fn replay_of_a_malformed_trace_exits_two_naming_the_file() {
+    let dir = trace_dir(
+        "replay-garbage",
+        &[
+            ("t.0.trace".into(), "C 5\n"),
+            ("t.1.trace".into(), "Z garbage\n"),
+        ],
+    );
+    let out = netcache(&["replay", dir.to_str().unwrap()]);
+    let err = stderr_of(&out);
+    assert_eq!(out.status.code(), Some(2), "stderr: {err}");
+    assert!(err.contains("t.1.trace"), "file not named: {err}");
+    assert!(err.contains("\"Z\""), "cause not named: {err}");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A directory with no `.trace` files has nothing to replay: exit 2
+/// naming the directory.
+#[test]
+fn replay_of_a_dir_without_traces_exits_two_naming_the_dir() {
+    let dir = trace_dir("replay-empty", &[("notes.txt".into(), "C 5\n")]);
+    let out = netcache(&["replay", dir.to_str().unwrap()]);
+    let err = stderr_of(&out);
+    assert_eq!(out.status.code(), Some(2), "stderr: {err}");
+    assert!(err.contains(dir.to_str().unwrap()), "dir not named: {err}");
+    let _ = std::fs::remove_dir_all(&dir);
 }

@@ -113,8 +113,8 @@ fn speedup_shape_matches_paper() {
     // Fig. 5: the machine parallelizes; Em3d is superlinear (terrible
     // single-node cache behaviour).
     let cfg = SysConfig::base(Arch::NetCache);
-    let (_, _, s_sor) = netcache::speedup(&cfg, AppId::Sor, 16, 0.03);
-    let (_, _, s_em3d) = netcache::speedup(&cfg, AppId::Em3d, 16, 0.1);
+    let (_, _, s_sor) = netcache::speedup(&cfg, AppId::Sor, 16, 0.03, None);
+    let (_, _, s_em3d) = netcache::speedup(&cfg, AppId::Em3d, 16, 0.1, None);
     assert!(s_sor > 5.0, "sor speedup {s_sor}");
     assert!(s_em3d > 10.0, "em3d speedup {s_em3d}");
 }

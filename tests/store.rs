@@ -8,7 +8,7 @@ use std::path::PathBuf;
 
 use netcache::apps::AppId;
 use netcache::sweep::NoopObserver;
-use netcache::{compare_stored, point_key, speedup_stored, Arch, Store, SysConfig};
+use netcache::{compare, point_key, speedup, Arch, Store, SysConfig};
 use netcache::{Sweep, SweepSpec};
 
 /// A scratch store directory unique to this test process.
@@ -57,9 +57,9 @@ fn warm_sweep_serves_every_cell_bit_identically() {
             c.label
         );
     }
-    // The serial path reads the same store.
+    // The pool-free path reads the same store.
     let serial_store = Store::open(&dir).unwrap();
-    let serial = sweep.run_serial_stored(Some(&serial_store));
+    let serial = sweep.run_stored(1, &NoopObserver, Some(&serial_store));
     assert_eq!(serial.cached_cells(), serial.runs.len());
     let _ = fs::remove_dir_all(&dir);
 }
@@ -83,8 +83,9 @@ fn interrupted_sweep_resumes_and_matches_a_clean_serial_run() {
     assert_eq!(resumed.cached_cells(), 3);
     assert_eq!(resumed.computed_cells(), full.points().len() - 3);
 
-    // …and is bit-identical to a storeless serial run of the whole grid.
-    let clean = full.run_serial();
+    // …and is bit-identical to a storeless, pool-free run of the whole
+    // grid.
+    let clean = full.run(1);
     for (r, c) in resumed.runs.iter().zip(&clean.runs) {
         assert_eq!(r.label, c.label);
         assert_eq!(r.report, c.report, "resumed report differs for {}", r.label);
@@ -132,24 +133,46 @@ fn compare_and_speedup_read_through_the_store() {
         .collect();
 
     let store = Store::open(&dir).unwrap();
-    let cold = compare_stored(cfgs.iter(), AppId::Gauss, 2, 0.02, Some(&store));
+    let cold = compare(cfgs.iter(), AppId::Gauss, 0.02, Some(&store));
     assert_eq!(store.stats().hits, 0);
 
     let warm_store = Store::open(&dir).unwrap();
-    let warm = compare_stored(cfgs.iter(), AppId::Gauss, 2, 0.02, Some(&warm_store));
+    let warm = compare(cfgs.iter(), AppId::Gauss, 0.02, Some(&warm_store));
     assert_eq!(warm_store.stats().hits, cfgs.len() as u64);
     assert_eq!(cold, warm, "warm compare differs from cold");
     // And the storeless path agrees with both.
-    assert_eq!(cold, netcache::compare(cfgs.iter(), AppId::Gauss, 2, 0.02));
+    assert_eq!(cold, compare(cfgs.iter(), AppId::Gauss, 0.02, None));
+
+    // `compare` and `sweep` share one runner and one cell key: a compare
+    // over the machines a sweep already ran is served entirely from the
+    // store, and agrees with the sweep report for report.
+    let shared_dir = scratch("readthrough-shared");
+    let grid = SweepSpec::new()
+        .archs(Arch::ALL)
+        .apps([AppId::Gauss])
+        .nodes([2])
+        .scale(0.02)
+        .build();
+    let swept = grid.run_stored(2, &NoopObserver, Some(&Store::open(&shared_dir).unwrap()));
+    let after_sweep = Store::open(&shared_dir).unwrap();
+    let compared = compare(cfgs.iter(), AppId::Gauss, 0.02, Some(&after_sweep));
+    assert_eq!(after_sweep.stats().hits, cfgs.len() as u64);
+    assert_eq!(after_sweep.stats().absent, 0);
+    assert_eq!(
+        compared,
+        swept.into_reports(),
+        "compare differs from the sweep it reused"
+    );
 
     let cfg = SysConfig::base(Arch::NetCache).with_nodes(4);
     let speedup_dir = scratch("readthrough-speedup");
     let sp_store = Store::open(&speedup_dir).unwrap();
-    let cold_sp = speedup_stored(&cfg, AppId::Sor, 4, 0.02, Some(&sp_store));
+    let cold_sp = speedup(&cfg, AppId::Sor, 4, 0.02, Some(&sp_store));
     let sp_warm_store = Store::open(&speedup_dir).unwrap();
-    let warm_sp = speedup_stored(&cfg, AppId::Sor, 4, 0.02, Some(&sp_warm_store));
+    let warm_sp = speedup(&cfg, AppId::Sor, 4, 0.02, Some(&sp_warm_store));
     assert_eq!(sp_warm_store.stats().hits, 2, "both endpoints should hit");
     assert_eq!(cold_sp, warm_sp, "warm speedup differs from cold");
     let _ = fs::remove_dir_all(&dir);
+    let _ = fs::remove_dir_all(&shared_dir);
     let _ = fs::remove_dir_all(&speedup_dir);
 }
