@@ -10,7 +10,7 @@ use std::hint::black_box;
 use std::time::Instant;
 
 use desim::{EventQueue, FifoServer, SlottedServer, Xoshiro256StarStar};
-use memsys::{Cache, CacheCfg};
+use memsys::{Cache, CacheCfg, CoalescingWriteBuffer};
 use netcache_apps::{AppId, MacroOp, Op, OpStream, Workload};
 use netcache_core::{run_app, Arch, RingCache, RingConfig, SysConfig};
 use optics::RingGeometry;
@@ -90,6 +90,42 @@ fn bench_cache() {
             cache.fill(a, false);
         }
         black_box(cache.hits());
+    });
+}
+
+/// The paper's L1 (4 KB direct-mapped, 32 B blocks) under the elided
+/// path's probes: a presence check and a hit-only read over a footprint
+/// twice the cache, so half the probes hit and nothing is refilled.
+fn bench_l1_probe() {
+    let mut l1 = Cache::new(CacheCfg::direct(4 * 1024, 32));
+    for b in 0..128u64 {
+        l1.fill(b * 32, false);
+    }
+    let mut rng = Xoshiro256StarStar::seeded(4);
+    bench("l1_dm_probe", 200, || {
+        let a = rng.below(256) * 32;
+        black_box(l1.contains(a));
+        black_box(l1.read_hit(a));
+    });
+}
+
+/// The write buffer's per-write work: a push (allocating or coalescing),
+/// a block lookup with a coalesce on a hit, and a retirement once 12 of
+/// the 16 entries are live, so the ring's head and tail keep wrapping.
+fn bench_write_buffer() {
+    let mut wb = CoalescingWriteBuffer::new(16);
+    let mut rng = Xoshiro256StarStar::seeded(3);
+    bench("wb_push_find_pop", 200, || {
+        let b = rng.below(32);
+        black_box(wb.push(b, b * 32, (b % 8) as u32, true));
+        let probe = rng.below(32);
+        if let Some(i) = wb.find_block(probe) {
+            wb.coalesce_at(i, probe, 0b10, 1);
+        }
+        black_box(wb.holds_block(probe ^ 1));
+        if wb.len() >= 12 {
+            black_box(wb.pop());
+        }
     });
 }
 
@@ -244,6 +280,8 @@ fn bench_full_run() {
 fn main() {
     bench_event_queue();
     bench_cache();
+    bench_l1_probe();
+    bench_write_buffer();
     bench_servers();
     bench_ring();
     bench_elide_private_run();

@@ -22,6 +22,10 @@
 //! 3. **Smallness.** Objects, arrays, strings, numbers, and the three
 //!    literals; object fields keep insertion order in a `Vec` (no map —
 //!    duplicates are the producer's bug, lookups take the first).
+//! 4. **Bounded depth.** The reader recurses once per open `[`/`{`, so
+//!    nesting deeper than `MAX_DEPTH` (64) is an error rather than a
+//!    stack overflow: a corrupt store record or baseline must fail by
+//!    name, never abort the process.
 
 /// A parsed JSON value.
 #[derive(Debug, Clone, PartialEq)]
@@ -86,12 +90,17 @@ impl Value {
     }
 }
 
-/// Parses one complete JSON document; trailing non-whitespace is an
-/// error.
+/// Deepest array/object nesting [`parse`] accepts. Everything this
+/// workspace writes nests a handful of levels; the cap only has to keep
+/// the recursive reader far from the end of a thread's stack.
+const MAX_DEPTH: usize = 64;
+
+/// Parses one complete JSON document; trailing non-whitespace, and
+/// arrays or objects nested more than 64 deep, are errors.
 pub fn parse(s: &str) -> Result<Value, String> {
     let b = s.as_bytes();
     let mut i = 0;
-    let v = value(b, &mut i)?;
+    let v = value(b, &mut i, 0)?;
     skip_ws(b, &mut i);
     if i != b.len() {
         return Err(format!("trailing garbage at byte {i}"));
@@ -142,8 +151,13 @@ fn literal(b: &[u8], i: &mut usize, word: &str, v: Value) -> Result<Value, Strin
     }
 }
 
-fn value(b: &[u8], i: &mut usize) -> Result<Value, String> {
+/// Parses the value at `*i`; `depth` counts the arrays and objects
+/// that enclose it.
+fn value(b: &[u8], i: &mut usize, depth: usize) -> Result<Value, String> {
     skip_ws(b, i);
+    if matches!(b.get(*i), Some(b'{' | b'[')) && depth == MAX_DEPTH {
+        return Err(format!("nesting deeper than {MAX_DEPTH} at byte {}", *i));
+    }
     match b.get(*i) {
         Some(b'{') => {
             *i += 1;
@@ -160,7 +174,7 @@ fn value(b: &[u8], i: &mut usize) -> Result<Value, String> {
                 };
                 skip_ws(b, i);
                 expect(b, i, b':')?;
-                fields.push((k, value(b, i)?));
+                fields.push((k, value(b, i, depth + 1)?));
                 skip_ws(b, i);
                 match b.get(*i) {
                     Some(b',') => *i += 1,
@@ -181,7 +195,7 @@ fn value(b: &[u8], i: &mut usize) -> Result<Value, String> {
                 return Ok(Value::Arr(items));
             }
             loop {
-                items.push(value(b, i)?);
+                items.push(value(b, i, depth + 1)?);
                 skip_ws(b, i);
                 match b.get(*i) {
                     Some(b',') => *i += 1,
@@ -339,5 +353,20 @@ mod tests {
         assert_eq!(arr[1].get("b").and_then(Value::as_str), Some("x"));
         assert_eq!(v.get("c"), Some(&Value::Null));
         assert_eq!(v.get("missing"), None);
+    }
+
+    #[test]
+    fn nesting_past_the_cap_is_an_error_naming_the_byte() {
+        let nest = |n: usize| format!("{}{}", "[".repeat(n), "]".repeat(n));
+        assert!(parse(&nest(MAX_DEPTH)).is_ok(), "the cap itself parses");
+        let err = parse(&nest(MAX_DEPTH + 1)).unwrap_err();
+        assert!(err.contains(&format!("at byte {MAX_DEPTH}")), "{err}");
+        // Far past the cap, unbalanced, and mixing objects and arrays:
+        // an error, not a stack overflow.
+        let deep = format!("{{\"a\": {}", "[".repeat(200_000));
+        let err = parse(&deep).unwrap_err();
+        assert!(err.starts_with("nesting deeper than"), "{err}");
+        let objs = "{\"k\":".repeat(MAX_DEPTH + 1);
+        assert!(parse(&objs).unwrap_err().starts_with("nesting deeper than"));
     }
 }

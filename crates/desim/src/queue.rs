@@ -7,6 +7,17 @@
 //! same cycle must always be served in the same order across runs.
 //! `tests/golden.rs` pins this bit-for-bit.
 //!
+//! Two details keep the heap cheap on the engine's pop-then-schedule
+//! rhythm (DESIGN §17):
+//!
+//! * The pair is packed into one `u128` key, `(time << 64) | seq`, whose
+//!   integer order is the pair's lexicographic order, so each sift step
+//!   is one compare.
+//! * A pop leaves the delivered entry at the top of the heap, marked
+//!   taken. The next schedule overwrites it and sifts down once, instead
+//!   of a pop's sift plus a push's sift; a second pop in a row removes
+//!   it first.
+//!
 //! The machine holds only a few pending events per processor (a resume,
 //! plus a write-buffer kick or ack), so the heap stays shallow. A timing
 //! wheel was tried here: no faster end to end, and more memory (DESIGN
@@ -17,33 +28,64 @@ use std::collections::BinaryHeap;
 
 use crate::time::Time;
 
-/// A pending event. Ordered so the `BinaryHeap` (a max-heap) pops the
-/// *smallest* `(time, seq)` first.
+/// A pending event under its packed ordering key `(time << 64) | seq`.
+/// Ordered so the `BinaryHeap` (a max-heap) pops the *smallest* key
+/// first; one `u128` compare replaces a lexicographic `(time, seq)` one.
 struct Entry<E> {
-    time: Time,
-    seq: u64,
+    key: u128,
     event: E,
 }
 
+impl<E> Entry<E> {
+    #[inline]
+    fn time(&self) -> Time {
+        (self.key >> 64) as Time
+    }
+}
+
 impl<E> PartialEq for Entry<E> {
+    #[inline]
     fn eq(&self, other: &Self) -> bool {
-        self.time == other.time && self.seq == other.seq
+        self.key == other.key
     }
 }
 impl<E> Eq for Entry<E> {}
+// Reversed throughout: the smallest key is the "greatest" heap element.
+// The comparison operators are written out so the heap's sift loops
+// compile to a single `u128` compare each.
 impl<E> PartialOrd for Entry<E> {
+    #[inline]
     fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
         Some(self.cmp(other))
     }
+    #[inline]
+    fn lt(&self, other: &Self) -> bool {
+        self.key > other.key
+    }
+    #[inline]
+    fn le(&self, other: &Self) -> bool {
+        self.key >= other.key
+    }
+    #[inline]
+    fn gt(&self, other: &Self) -> bool {
+        self.key < other.key
+    }
+    #[inline]
+    fn ge(&self, other: &Self) -> bool {
+        self.key <= other.key
+    }
 }
 impl<E> Ord for Entry<E> {
+    #[inline]
     fn cmp(&self, other: &Self) -> Ordering {
-        // Reversed: smallest (time, seq) is the "greatest" heap element.
-        (other.time, other.seq).cmp(&(self.time, self.seq))
+        other.key.cmp(&self.key)
     }
 }
 
 /// A deterministic future-event list.
+///
+/// Events are small `Copy` values: `pop` hands out a copy of the top
+/// entry's event and leaves the entry in place until the next call.
 ///
 /// ```
 /// use desim::EventQueue;
@@ -58,18 +100,21 @@ impl<E> Ord for Entry<E> {
 /// ```
 pub struct EventQueue<E> {
     heap: BinaryHeap<Entry<E>>,
+    /// The heap's top entry was delivered by the last `pop` and is no
+    /// longer pending; the next `schedule` or `pop` discards it.
+    taken: bool,
     now: Time,
     /// Events ever scheduled; also the next entry's `seq`.
     scheduled_total: u64,
 }
 
-impl<E> Default for EventQueue<E> {
+impl<E: Copy> Default for EventQueue<E> {
     fn default() -> Self {
         Self::new()
     }
 }
 
-impl<E> EventQueue<E> {
+impl<E: Copy> EventQueue<E> {
     /// Creates an empty queue with the clock at 0.
     pub fn new() -> Self {
         Self::with_capacity(0)
@@ -80,6 +125,7 @@ impl<E> EventQueue<E> {
     pub fn with_capacity(cap: usize) -> Self {
         Self {
             heap: BinaryHeap::with_capacity(cap),
+            taken: false,
             now: 0,
             scheduled_total: 0,
         }
@@ -89,6 +135,7 @@ impl<E> EventQueue<E> {
     /// allocation for the next run.
     pub fn reset(&mut self) {
         self.heap.clear();
+        self.taken = false;
         self.now = 0;
         self.scheduled_total = 0;
     }
@@ -111,33 +158,45 @@ impl<E> EventQueue<E> {
             "event scheduled in the past: at={at}, now={}",
             self.now
         );
-        self.heap.push(Entry {
-            time: at,
-            seq: self.scheduled_total,
+        let entry = Entry {
+            key: (at as u128) << 64 | self.scheduled_total as u128,
             event,
-        });
+        };
         self.scheduled_total += 1;
+        if self.taken {
+            self.taken = false;
+            // Overwrite the delivered top; dropping the guard sifts down.
+            *self.heap.peek_mut().expect("taken entry present") = entry;
+        } else {
+            self.heap.push(entry);
+        }
     }
 
     /// Pops the next event, advancing the clock to its timestamp.
     #[inline]
     pub fn pop(&mut self) -> Option<(Time, E)> {
-        let e = self.heap.pop()?;
-        debug_assert!(e.time >= self.now, "time went backwards");
-        self.now = e.time;
-        Some((e.time, e.event))
+        if self.taken {
+            self.taken = false;
+            self.heap.pop();
+        }
+        let e = self.heap.peek()?;
+        self.taken = true;
+        let time = e.time();
+        debug_assert!(time >= self.now, "time went backwards");
+        self.now = time;
+        Some((time, e.event))
     }
 
     /// Number of events currently pending.
     #[inline]
     pub fn len(&self) -> usize {
-        self.heap.len()
+        self.heap.len() - usize::from(self.taken)
     }
 
     /// True if no events are pending.
     #[inline]
     pub fn is_empty(&self) -> bool {
-        self.heap.is_empty()
+        self.len() == 0
     }
 
     /// Total number of events ever scheduled (a cheap progress metric).
@@ -337,6 +396,76 @@ mod tests {
         q.schedule(7, 2);
         assert_eq!(q.pop(), Some((7, 1)));
         assert_eq!(q.pop(), Some((7, 2)));
+        assert_eq!(q.pop(), None);
+    }
+
+    /// Pops from the reference model: a plain list searched for its
+    /// least `(time, seq)` pair.
+    fn model_pop(model: &mut Vec<(Time, u64, u64)>) -> Option<(Time, u64)> {
+        let (i, _) = model
+            .iter()
+            .enumerate()
+            .min_by_key(|(_, &(t, seq, _))| (t, seq))?;
+        let (t, _, id) = model.swap_remove(i);
+        Some((t, id))
+    }
+
+    #[test]
+    fn packed_key_matches_pair_model_near_time_max() {
+        use crate::rng::Xoshiro256StarStar;
+        // Start within reach of u64::MAX so the time half of the key uses
+        // its top bits, and draw delays that pile events onto a handful of
+        // timestamps (equal-time bursts) or land exactly on the maximum.
+        for (seed, base) in [(1u64, 0), (2, Time::MAX - 5_000), (3, Time::MAX - 40)] {
+            let mut rng = Xoshiro256StarStar::seeded(seed);
+            let mut q = EventQueue::new();
+            let mut model = Vec::new();
+            q.schedule(base, 0u64);
+            model.push((base, 0u64, 0u64));
+            let mut popped = 0;
+            for id in 1..20_000u64 {
+                if rng.below(2) == 0 {
+                    let got = q.pop();
+                    assert_eq!(got, model_pop(&mut model), "pop before id {id}");
+                    assert_eq!((q.len(), q.is_empty()), (model.len(), model.is_empty()));
+                    popped += got.is_some() as usize;
+                    continue;
+                }
+                let room = Time::MAX - q.now();
+                let delay = match rng.below(4) {
+                    0 => 0,
+                    1 => rng.below(3),
+                    2 => room,
+                    _ => rng.below(64),
+                }
+                .min(room);
+                let seq = q.scheduled_total();
+                q.schedule(q.now() + delay, id);
+                model.push((q.now() + delay, seq, id));
+                assert_eq!(q.len(), model.len());
+            }
+            while let Some(got) = q.pop() {
+                assert_eq!(Some(got), model_pop(&mut model));
+                popped += 1;
+            }
+            assert!(model.is_empty());
+            assert!(popped > 5_000, "seed {seed}: {popped} pops");
+        }
+    }
+
+    #[test]
+    fn max_time_burst_is_fifo() {
+        let mut q = EventQueue::new();
+        q.schedule(Time::MAX, 0);
+        q.schedule(Time::MAX - 1, 1);
+        for i in 2..200 {
+            q.schedule(Time::MAX, i);
+        }
+        assert_eq!(q.pop(), Some((Time::MAX - 1, 1)));
+        assert_eq!(q.pop(), Some((Time::MAX, 0)));
+        for i in 2..200 {
+            assert_eq!(q.pop(), Some((Time::MAX, i)));
+        }
         assert_eq!(q.pop(), None);
     }
 }

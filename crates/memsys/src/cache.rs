@@ -1,7 +1,7 @@
 //! Tag-array cache models for the per-node L1 and L2.
 //!
 //! The simulation is timing-only: caches track *which* blocks are present
-//! (tags + valid + dirty), never data values. The model supports
+//! (tags + dirty bits), never data values. The model supports
 //! direct-mapped (the paper's base L1/L2), set-associative, and fully
 //! associative organizations with LRU within a set, which is what the
 //! parameter-space study needs.
@@ -45,14 +45,6 @@ impl CacheCfg {
     }
 }
 
-#[derive(Debug, Clone, Copy, Default)]
-struct Line {
-    tag: BlockAddr, // full block number (generous, but simple and correct)
-    valid: bool,
-    dirty: bool,
-    stamp: u64, // LRU clock
-}
-
 /// A victim chosen during a fill.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Evicted {
@@ -71,7 +63,19 @@ pub enum ReadOutcome {
     Miss,
 }
 
+/// Tag of a way that holds no block. Block numbers are byte addresses
+/// shifted right by the block size, so no real block reaches it.
+const INVALID: BlockAddr = BlockAddr::MAX;
+
 /// A timing-model cache: tags only, LRU replacement within a set.
+///
+/// Ways are stored flat, set-major, in three parallel arrays: `tags`
+/// (the full block number, or `INVALID`), `stamps` (LRU clock) and
+/// `dirty`. Every probe goes through one private `find`, which reads
+/// only `tags` and is a single compare when the cache is direct-mapped.
+/// Stamps are read only to choose a victim among several ways, so a
+/// direct-mapped cache never writes them, and a clean access never
+/// writes `dirty`: a hit touches the tag array alone.
 #[derive(Debug, Clone)]
 pub struct Cache {
     cfg: CacheCfg,
@@ -82,7 +86,9 @@ pub struct Cache {
     // trailing_zeros/is_power_of_two recomputation is worth hoisting.
     blk_shift: u32,
     set_mask: u64, // == sets-1 iff sets is a power of two, else u64::MAX
-    lines: Vec<Line>,
+    tags: Vec<BlockAddr>,
+    stamps: Vec<u64>,
+    dirty: Vec<bool>,
     clock: u64,
     // statistics
     hits: u64,
@@ -111,7 +117,9 @@ impl Cache {
             } else {
                 u64::MAX
             },
-            lines: vec![Line::default(); lines],
+            tags: vec![INVALID; lines],
+            stamps: vec![0; lines],
+            dirty: vec![false; lines],
             clock: 0,
             hits: 0,
             misses: 0,
@@ -127,7 +135,9 @@ impl Cache {
     fn block_of(&self, a: Addr) -> BlockAddr {
         // block_bytes is asserted to be a power of two: shift, don't
         // divide (probes sit on the simulator's per-operation path).
-        a >> self.blk_shift
+        let b = a >> self.blk_shift;
+        debug_assert_ne!(b, INVALID, "block number collides with the invalid tag");
+        b
     }
 
     #[inline]
@@ -139,27 +149,51 @@ impl Cache {
         }
     }
 
+    /// Way index holding block `b`, if it is present.
     #[inline]
-    fn set_range(&self, b: BlockAddr) -> std::ops::Range<usize> {
-        let s = self.set_of(b);
-        s * self.ways..(s + 1) * self.ways
+    fn find(&self, b: BlockAddr) -> Option<usize> {
+        let first = self.set_of(b) * self.ways;
+        if self.ways == 1 {
+            return (self.tags[first] == b).then_some(first);
+        }
+        self.tags[first..first + self.ways]
+            .iter()
+            .position(|&t| t == b)
+            .map(|w| first + w)
+    }
+
+    /// Refreshes way `i`'s LRU stamp to the current clock. Skipped when
+    /// the set has one way: its only line is always the victim.
+    #[inline]
+    fn touch(&mut self, i: usize) {
+        if self.ways > 1 {
+            self.stamps[i] = self.clock;
+        }
+    }
+
+    /// Merges `dirty` into way `i`: a clean access writes nothing.
+    #[inline]
+    fn mark(&mut self, i: usize, dirty: bool) {
+        if dirty {
+            self.dirty[i] = true;
+        }
     }
 
     /// Read access: updates LRU and hit/miss counters.
+    #[inline]
     pub fn read(&mut self, a: Addr) -> ReadOutcome {
-        let b = self.block_of(a);
         self.clock += 1;
-        let clock = self.clock;
-        for i in self.set_range(b) {
-            let line = &mut self.lines[i];
-            if line.valid && line.tag == b {
-                line.stamp = clock;
+        match self.find(self.block_of(a)) {
+            Some(i) => {
+                self.touch(i);
                 self.hits += 1;
-                return ReadOutcome::Hit;
+                ReadOutcome::Hit
+            }
+            None => {
+                self.misses += 1;
+                ReadOutcome::Miss
             }
         }
-        self.misses += 1;
-        ReadOutcome::Miss
     }
 
     /// Hit-only read probe: on a hit, performs exactly the state changes
@@ -170,16 +204,7 @@ impl Cache {
     /// canonical miss sequence to the slow path's `read()`.
     #[inline]
     pub fn read_hit(&mut self, a: Addr) -> bool {
-        let b = self.block_of(a);
-        for i in self.set_range(b) {
-            if self.lines[i].valid && self.lines[i].tag == b {
-                self.clock += 1;
-                self.lines[i].stamp = self.clock;
-                self.hits += 1;
-                return true;
-            }
-        }
-        false
+        self.read_hit_run(a, 1)
     }
 
     /// Block-granular read-hit probe: the batched form of `n` consecutive
@@ -191,19 +216,15 @@ impl Cache {
     /// distinct block instead of one probe per element.
     #[inline]
     pub fn read_hit_run(&mut self, a: Addr, n: u64) -> bool {
-        if n == 0 {
-            return self.contains(a);
+        let Some(i) = self.find(self.block_of(a)) else {
+            return false;
+        };
+        if n > 0 {
+            self.clock += n;
+            self.touch(i);
+            self.hits += n;
         }
-        let b = self.block_of(a);
-        for i in self.set_range(b) {
-            if self.lines[i].valid && self.lines[i].tag == b {
-                self.clock += n;
-                self.lines[i].stamp = self.clock;
-                self.hits += n;
-                return true;
-            }
-        }
-        false
+        true
     }
 
     /// Block-granular write-update: the batched form of `n` consecutive
@@ -212,123 +233,89 @@ impl Cache {
     /// block is present). Returns presence, like `write_update`.
     #[inline]
     pub fn write_update_run(&mut self, a: Addr, n: u64, dirty: bool) -> bool {
-        let b = self.block_of(a);
         self.clock += n;
-        let clock = self.clock;
-        for i in self.set_range(b) {
-            let line = &mut self.lines[i];
-            if line.valid && line.tag == b {
-                line.stamp = clock;
-                line.dirty |= dirty;
-                return true;
-            }
-        }
-        false
+        let Some(i) = self.find(self.block_of(a)) else {
+            return false;
+        };
+        self.touch(i);
+        self.mark(i, dirty);
+        true
     }
 
     /// Non-destructive presence check (no LRU or counter update).
+    #[inline]
     pub fn contains(&self, a: Addr) -> bool {
-        let b = self.block_of(a);
-        self.set_range(b)
-            .any(|i| self.lines[i].valid && self.lines[i].tag == b)
+        self.find(self.block_of(a)).is_some()
     }
 
     /// Inserts the block containing `a`, returning the victim if a valid
     /// line was displaced. `dirty` marks the new line (DMON-I exclusive
     /// fills; update protocols always fill clean).
+    #[inline]
     pub fn fill(&mut self, a: Addr, dirty: bool) -> Option<Evicted> {
         let b = self.block_of(a);
         self.clock += 1;
-        let clock = self.clock;
-        let range = self.set_range(b);
         // Already present (e.g., racing fill): refresh.
-        for i in range.clone() {
-            let line = &mut self.lines[i];
-            if line.valid && line.tag == b {
-                line.stamp = clock;
-                line.dirty |= dirty;
-                return None;
-            }
+        if let Some(i) = self.find(b) {
+            self.touch(i);
+            self.mark(i, dirty);
+            return None;
         }
-        // Prefer an invalid way.
-        let mut victim = range.start;
+        // Prefer the first invalid way, else the least recently used.
+        let first = self.set_of(b) * self.ways;
+        let mut victim = first;
         let mut oldest = u64::MAX;
-        for i in range {
-            let line = &self.lines[i];
-            if !line.valid {
+        for i in first..first + self.ways {
+            if self.tags[i] == INVALID {
                 victim = i;
                 break;
             }
-            if line.stamp < oldest {
-                oldest = line.stamp;
+            if self.stamps[i] < oldest {
+                oldest = self.stamps[i];
                 victim = i;
             }
         }
-        let line = &mut self.lines[victim];
-        let evicted = line.valid.then_some(Evicted {
-            block: line.tag,
-            dirty: line.dirty,
+        let evicted = (self.tags[victim] != INVALID).then_some(Evicted {
+            block: self.tags[victim],
+            dirty: self.dirty[victim],
         });
-        *line = Line {
-            tag: b,
-            valid: true,
-            dirty,
-            stamp: clock,
-        };
+        self.tags[victim] = b;
+        self.touch(victim);
+        self.dirty[victim] = dirty;
         evicted
     }
 
     /// Applies a local write or a received update *in place*: marks the
     /// block dirty if `dirty`, returns true if the block was present.
     /// Does not allocate (update protocols do not write-allocate remotely).
+    #[inline]
     pub fn write_update(&mut self, a: Addr, dirty: bool) -> bool {
-        let b = self.block_of(a);
-        self.clock += 1;
-        let clock = self.clock;
-        for i in self.set_range(b) {
-            let line = &mut self.lines[i];
-            if line.valid && line.tag == b {
-                line.stamp = clock;
-                line.dirty |= dirty;
-                return true;
-            }
-        }
-        false
+        self.write_update_run(a, 1, dirty)
     }
 
     /// Invalidates the block containing `a`; returns the line's dirtiness
     /// if it was present.
+    #[inline]
     pub fn invalidate(&mut self, a: Addr) -> Option<bool> {
-        let b = self.block_of(a);
-        for i in self.set_range(b) {
-            let line = &mut self.lines[i];
-            if line.valid && line.tag == b {
-                line.valid = false;
-                return Some(line.dirty);
-            }
-        }
-        None
+        let i = self.find(self.block_of(a))?;
+        self.tags[i] = INVALID;
+        Some(self.dirty[i])
     }
 
     /// Clears the dirty bit (after a writeback); true if block was present.
+    #[inline]
     pub fn clean(&mut self, a: Addr) -> bool {
-        let b = self.block_of(a);
-        for i in self.set_range(b) {
-            let line = &mut self.lines[i];
-            if line.valid && line.tag == b {
-                line.dirty = false;
-                return true;
-            }
-        }
-        false
+        let Some(i) = self.find(self.block_of(a)) else {
+            return false;
+        };
+        self.dirty[i] = false;
+        true
     }
 
     /// Invalidates everything (used between disjoint program phases in
     /// some unit tests).
     pub fn flush(&mut self) {
-        for line in &mut self.lines {
-            line.valid = false;
-        }
+        self.tags.fill(INVALID);
     }
 
     /// Read hits so far.
@@ -353,13 +340,14 @@ impl Cache {
 
     /// Number of currently valid lines.
     pub fn valid_lines(&self) -> usize {
-        self.lines.iter().filter(|l| l.valid).count()
+        self.tags.iter().filter(|&&t| t != INVALID).count()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use desim::Xoshiro256StarStar;
 
     fn dm_cache() -> Cache {
         // 4 lines of 64 B, direct-mapped.
@@ -527,5 +515,199 @@ mod tests {
         assert_eq!(c.valid_lines(), 2);
         c.flush();
         assert_eq!(c.valid_lines(), 0);
+    }
+
+    /// Reference model: the array-of-lines layout the flat tag arrays
+    /// replaced, with a `valid` bit per line and linear set scans.
+    #[derive(Clone, Copy, Default)]
+    struct Line {
+        tag: BlockAddr,
+        valid: bool,
+        dirty: bool,
+        stamp: u64,
+    }
+
+    struct Model {
+        sets: u64,
+        ways: usize,
+        shift: u32,
+        lines: Vec<Line>,
+        clock: u64,
+        hits: u64,
+        misses: u64,
+    }
+
+    impl Model {
+        fn new(cfg: CacheCfg) -> Self {
+            let ways = if cfg.assoc == 0 {
+                cfg.lines()
+            } else {
+                cfg.assoc
+            };
+            Self {
+                sets: (cfg.lines() / ways) as u64,
+                ways,
+                shift: cfg.block_bytes.trailing_zeros(),
+                lines: vec![Line::default(); cfg.lines()],
+                clock: 0,
+                hits: 0,
+                misses: 0,
+            }
+        }
+
+        /// Block of `a` and the index of its line, if present.
+        fn probe(&self, a: Addr) -> (BlockAddr, std::ops::Range<usize>, Option<usize>) {
+            let b = a >> self.shift;
+            let s = (b % self.sets) as usize;
+            let range = s * self.ways..(s + 1) * self.ways;
+            let hit = range
+                .clone()
+                .find(|&i| self.lines[i].valid && self.lines[i].tag == b);
+            (b, range, hit)
+        }
+
+        fn read(&mut self, a: Addr) -> ReadOutcome {
+            self.clock += 1;
+            match self.probe(a).2 {
+                Some(i) => {
+                    self.lines[i].stamp = self.clock;
+                    self.hits += 1;
+                    ReadOutcome::Hit
+                }
+                None => {
+                    self.misses += 1;
+                    ReadOutcome::Miss
+                }
+            }
+        }
+
+        fn read_hit_run(&mut self, a: Addr, n: u64) -> bool {
+            let Some(i) = self.probe(a).2 else {
+                return false;
+            };
+            self.clock += n;
+            if n > 0 {
+                self.lines[i].stamp = self.clock;
+            }
+            self.hits += n;
+            true
+        }
+
+        fn write_update_run(&mut self, a: Addr, n: u64, dirty: bool) -> bool {
+            self.clock += n;
+            let Some(i) = self.probe(a).2 else {
+                return false;
+            };
+            self.lines[i].stamp = self.clock;
+            self.lines[i].dirty |= dirty;
+            true
+        }
+
+        fn fill(&mut self, a: Addr, dirty: bool) -> Option<Evicted> {
+            self.clock += 1;
+            let (b, range, hit) = self.probe(a);
+            if let Some(i) = hit {
+                self.lines[i].stamp = self.clock;
+                self.lines[i].dirty |= dirty;
+                return None;
+            }
+            let mut victim = range.start;
+            let mut oldest = u64::MAX;
+            for i in range {
+                if !self.lines[i].valid {
+                    victim = i;
+                    break;
+                }
+                if self.lines[i].stamp < oldest {
+                    oldest = self.lines[i].stamp;
+                    victim = i;
+                }
+            }
+            let old = self.lines[victim];
+            self.lines[victim] = Line {
+                tag: b,
+                valid: true,
+                dirty,
+                stamp: self.clock,
+            };
+            old.valid.then_some(Evicted {
+                block: old.tag,
+                dirty: old.dirty,
+            })
+        }
+
+        fn invalidate(&mut self, a: Addr) -> Option<bool> {
+            let i = self.probe(a).2?;
+            self.lines[i].valid = false;
+            Some(self.lines[i].dirty)
+        }
+
+        fn clean(&mut self, a: Addr) -> bool {
+            let Some(i) = self.probe(a).2 else {
+                return false;
+            };
+            self.lines[i].dirty = false;
+            true
+        }
+    }
+
+    #[test]
+    fn flat_arrays_match_line_model() {
+        let geometries = [
+            CacheCfg::direct(1024, 32),
+            CacheCfg {
+                size_bytes: 1024,
+                block_bytes: 32,
+                assoc: 2,
+            },
+            CacheCfg {
+                size_bytes: 2048,
+                block_bytes: 64,
+                assoc: 4,
+            },
+            CacheCfg {
+                size_bytes: 512,
+                block_bytes: 32,
+                assoc: 0,
+            },
+            // 12 lines in 2-way sets: 6 sets, the modulo index path.
+            CacheCfg {
+                size_bytes: 768,
+                block_bytes: 64,
+                assoc: 2,
+            },
+        ];
+        for (g, cfg) in geometries.into_iter().enumerate() {
+            let mut rng = Xoshiro256StarStar::seeded(0xCAC4E + g as u64);
+            let mut c = Cache::new(cfg);
+            let mut m = Model::new(cfg);
+            // Footprint of 3x the capacity: a mix of hits, conflicts and
+            // capacity evictions.
+            let span = cfg.size_bytes * 3;
+            for step in 0..30_000 {
+                let a = rng.below(span);
+                let dirty = rng.below(2) == 0;
+                let n = rng.below(4);
+                match rng.below(10) {
+                    0 | 1 => assert_eq!(c.read(a), m.read(a), "read, {cfg:?} step {step}"),
+                    2 => assert_eq!(c.read_hit(a), m.read_hit_run(a, 1), "step {step}"),
+                    3 => assert_eq!(c.read_hit_run(a, n), m.read_hit_run(a, n), "step {step}"),
+                    4 => assert_eq!(c.write_update(a, dirty), m.write_update_run(a, 1, dirty)),
+                    5 => assert_eq!(
+                        c.write_update_run(a, n, dirty),
+                        m.write_update_run(a, n, dirty)
+                    ),
+                    6 | 7 => assert_eq!(c.fill(a, dirty), m.fill(a, dirty), "fill, step {step}"),
+                    8 => assert_eq!(c.invalidate(a), m.invalidate(a), "step {step}"),
+                    _ => assert_eq!(c.clean(a), m.clean(a), "step {step}"),
+                }
+                assert_eq!(c.contains(a), m.probe(a).2.is_some(), "step {step}");
+                assert_eq!(c.hits(), m.hits, "hits, {cfg:?} step {step}");
+                assert_eq!(c.misses(), m.misses, "misses, {cfg:?} step {step}");
+            }
+            let valid = m.lines.iter().filter(|l| l.valid).count();
+            assert_eq!(c.valid_lines(), valid, "{cfg:?}");
+            assert!(valid > 0);
+        }
     }
 }

@@ -9,7 +9,6 @@
 //! consistency), and reads are allowed to bypass buffered writes.
 
 use crate::addr::{Addr, BlockAddr, WordIdx};
-use std::collections::VecDeque;
 
 /// One buffered (possibly coalesced) write: a block plus the mask of words
 /// written. Blocks are at most 128 B in any configuration we simulate, so a
@@ -47,11 +46,30 @@ pub enum PushOutcome {
     Full,
 }
 
+/// Key of a ring slot that holds no entry. Block numbers are byte
+/// addresses shifted right by the block size, so no real block reaches it.
+const FREE: BlockAddr = BlockAddr::MAX;
+
 /// FIFO coalescing write buffer with a fixed entry count.
+///
+/// A fixed ring of `capacity` slots with a parallel key array: `keys[s]`
+/// is the block of the entry in slot `s`, or `FREE`. Live blocks are
+/// unique (a write to a buffered block always coalesces), so finding a
+/// block is one scan of `keys` that needs no occupancy test and no early
+/// exit. The scan is skipped when the block is the one last pushed, the
+/// common case for a run of writes to one block. Public indices
+/// ([`find_block`](Self::find_block), [`coalesce_at`](Self::coalesce_at))
+/// count from the oldest entry.
 #[derive(Debug, Clone)]
 pub struct CoalescingWriteBuffer {
-    entries: VecDeque<WriteEntry>,
-    capacity: usize,
+    keys: Vec<BlockAddr>,
+    entries: Vec<WriteEntry>,
+    /// Slot of the oldest entry.
+    head: usize,
+    len: usize,
+    /// Slot of the newest entry (stale, never wrong, once it is popped:
+    /// its key is then [`FREE`]).
+    last: usize,
     // statistics
     pushes: u64,
     coalesced: u64,
@@ -62,12 +80,47 @@ impl CoalescingWriteBuffer {
     /// Creates a buffer with room for `capacity` block entries.
     pub fn new(capacity: usize) -> Self {
         assert!(capacity > 0);
+        let empty = WriteEntry {
+            block: FREE,
+            addr: 0,
+            mask: 0,
+            shared: false,
+        };
         Self {
-            entries: VecDeque::with_capacity(capacity),
-            capacity,
+            keys: vec![FREE; capacity],
+            entries: vec![empty; capacity],
+            head: 0,
+            len: 0,
+            last: 0,
             pushes: 0,
             coalesced: 0,
             full_events: 0,
+        }
+    }
+
+    /// Ring slot holding `block`, if it is buffered.
+    #[inline]
+    fn slot_of(&self, block: BlockAddr) -> Option<usize> {
+        if self.keys[self.last] == block {
+            return Some(self.last);
+        }
+        let mut hit = usize::MAX;
+        for (s, &k) in self.keys.iter().enumerate() {
+            if k == block {
+                hit = s;
+            }
+        }
+        (hit != usize::MAX).then_some(hit)
+    }
+
+    /// Ring slot `off` places after `base` (`off <= capacity`).
+    #[inline]
+    fn wrap(&self, base: usize, off: usize) -> usize {
+        let s = base + off;
+        if s >= self.keys.len() {
+            s - self.keys.len()
+        } else {
+            s
         }
     }
 
@@ -75,6 +128,7 @@ impl CoalescingWriteBuffer {
     /// word index `word`). Coalesces with *any* existing entry for the same
     /// block, per the paper ("consecutive writes to the same cache block
     /// are coalesced").
+    #[inline]
     pub fn push(
         &mut self,
         block: BlockAddr,
@@ -83,25 +137,28 @@ impl CoalescingWriteBuffer {
         shared: bool,
     ) -> PushOutcome {
         debug_assert!(word < 32);
-        self.pushes += 1;
-        for e in self.entries.iter_mut() {
-            if e.block == block {
-                e.mask |= 1 << word;
-                self.coalesced += 1;
-                return PushOutcome::Coalesced;
-            }
+        debug_assert_ne!(block, FREE, "block number collides with the free-slot key");
+        if let Some(s) = self.slot_of(block) {
+            self.entries[s].mask |= 1 << word;
+            self.pushes += 1;
+            self.coalesced += 1;
+            return PushOutcome::Coalesced;
         }
-        if self.entries.len() == self.capacity {
-            self.pushes -= 1; // not accepted
+        if self.len == self.keys.len() {
             self.full_events += 1;
             return PushOutcome::Full;
         }
-        self.entries.push_back(WriteEntry {
+        let s = self.wrap(self.head, self.len);
+        self.keys[s] = block;
+        self.last = s;
+        self.entries[s] = WriteEntry {
             block,
             addr,
             mask: 1 << word,
             shared,
-        });
+        };
+        self.len += 1;
+        self.pushes += 1;
         PushOutcome::Allocated
     }
 
@@ -116,31 +173,39 @@ impl CoalescingWriteBuffer {
     /// nothing) if it does not.
     #[inline]
     pub fn coalesce_run(&mut self, block: BlockAddr, mask_bits: u32, count: u64) -> bool {
-        for e in self.entries.iter_mut() {
-            if e.block == block {
-                e.mask |= mask_bits;
-                self.pushes += count;
-                self.coalesced += count;
-                return true;
-            }
-        }
-        false
+        let Some(s) = self.slot_of(block) else {
+            return false;
+        };
+        self.entries[s].mask |= mask_bits;
+        self.pushes += count;
+        self.coalesced += count;
+        true
     }
 
     /// Oldest entry, if any (peek; retirement is [`pop`](Self::pop)).
+    #[inline]
     pub fn front(&self) -> Option<&WriteEntry> {
-        self.entries.front()
+        (self.len > 0).then(|| &self.entries[self.head])
     }
 
     /// Retires the oldest entry.
+    #[inline]
     pub fn pop(&mut self) -> Option<WriteEntry> {
-        self.entries.pop_front()
+        if self.len == 0 {
+            return None;
+        }
+        let e = self.entries[self.head];
+        self.keys[self.head] = FREE;
+        self.head = self.wrap(self.head, 1);
+        self.len -= 1;
+        Some(e)
     }
 
     /// True if a write for `block` is currently buffered (used to let reads
     /// forward from the buffer).
+    #[inline]
     pub fn holds_block(&self, block: BlockAddr) -> bool {
-        self.entries.iter().any(|e| e.block == block)
+        self.slot_of(block).is_some()
     }
 
     /// Index of the entry for `block`, if one is buffered. Indices stay
@@ -149,7 +214,12 @@ impl CoalescingWriteBuffer {
     /// through [`coalesce_at`](Self::coalesce_at) without rescanning.
     #[inline]
     pub fn find_block(&self, block: BlockAddr) -> Option<usize> {
-        self.entries.iter().position(|e| e.block == block)
+        let s = self.slot_of(block)?;
+        Some(if s >= self.head {
+            s - self.head
+        } else {
+            s + self.keys.len() - self.head
+        })
     }
 
     /// [`coalesce_run`](Self::coalesce_run) against the entry at `idx`
@@ -159,31 +229,36 @@ impl CoalescingWriteBuffer {
     /// In debug builds, if `idx` does not hold `block`.
     #[inline]
     pub fn coalesce_at(&mut self, idx: usize, block: BlockAddr, mask_bits: u32, count: u64) {
-        let e = &mut self.entries[idx];
-        debug_assert_eq!(e.block, block, "stale write-buffer index");
-        e.mask |= mask_bits;
+        debug_assert!(idx < self.len, "write-buffer index past the tail");
+        let s = self.wrap(self.head, idx);
+        debug_assert_eq!(self.keys[s], block, "stale write-buffer index");
+        self.entries[s].mask |= mask_bits;
         self.pushes += count;
         self.coalesced += count;
     }
 
     /// Current occupancy.
+    #[inline]
     pub fn len(&self) -> usize {
-        self.entries.len()
+        self.len
     }
 
     /// True if no writes are buffered.
+    #[inline]
     pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
+        self.len == 0
     }
 
     /// True if another distinct-block write would stall.
+    #[inline]
     pub fn is_full(&self) -> bool {
-        self.entries.len() == self.capacity
+        self.len == self.keys.len()
     }
 
     /// Free entry slots remaining.
+    #[inline]
     pub fn room(&self) -> usize {
-        self.capacity - self.entries.len()
+        self.keys.len() - self.len
     }
 
     /// Total writes accepted.
@@ -205,6 +280,8 @@ impl CoalescingWriteBuffer {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use desim::Xoshiro256StarStar;
+    use std::collections::VecDeque;
 
     #[test]
     fn coalesces_same_block() {
@@ -286,5 +363,140 @@ mod tests {
         assert_eq!(wb.pushes(), 16);
         assert_eq!(wb.coalesced(), 15);
         assert_eq!(wb.front().unwrap().words(), 16);
+    }
+
+    /// Reference model: the plain `VecDeque` buffer the ring replaced,
+    /// with its linear, early-exit scans.
+    #[derive(Default)]
+    struct Model {
+        q: VecDeque<WriteEntry>,
+        cap: usize,
+        pushes: u64,
+        coalesced: u64,
+        full_events: u64,
+    }
+
+    impl Model {
+        fn push(
+            &mut self,
+            block: BlockAddr,
+            addr: Addr,
+            word: WordIdx,
+            shared: bool,
+        ) -> PushOutcome {
+            if let Some(e) = self.q.iter_mut().find(|e| e.block == block) {
+                e.mask |= 1 << word;
+                self.pushes += 1;
+                self.coalesced += 1;
+                return PushOutcome::Coalesced;
+            }
+            if self.q.len() == self.cap {
+                self.full_events += 1;
+                return PushOutcome::Full;
+            }
+            self.pushes += 1;
+            self.q.push_back(WriteEntry {
+                block,
+                addr,
+                mask: 1 << word,
+                shared,
+            });
+            PushOutcome::Allocated
+        }
+
+        fn find_block(&self, block: BlockAddr) -> Option<usize> {
+            self.q.iter().position(|e| e.block == block)
+        }
+
+        fn coalesce_at(&mut self, idx: usize, mask_bits: u32, count: u64) {
+            self.q[idx].mask |= mask_bits;
+            self.pushes += count;
+            self.coalesced += count;
+        }
+    }
+
+    fn assert_same(wb: &CoalescingWriteBuffer, m: &Model, step: usize) {
+        assert_eq!(wb.len(), m.q.len(), "len at step {step}");
+        assert_eq!(wb.room(), m.cap - m.q.len(), "room at step {step}");
+        assert_eq!(wb.is_full(), m.q.len() == m.cap, "full at step {step}");
+        assert_eq!(wb.is_empty(), m.q.is_empty(), "empty at step {step}");
+        assert_eq!(wb.front(), m.q.front(), "front at step {step}");
+        assert_eq!(wb.pushes(), m.pushes, "pushes at step {step}");
+        assert_eq!(wb.coalesced(), m.coalesced, "coalesced at step {step}");
+        assert_eq!(
+            wb.full_events(),
+            m.full_events,
+            "full_events at step {step}"
+        );
+        // FIFO order and masks: every live entry sits at the index the
+        // model gives it.
+        for (i, e) in m.q.iter().enumerate() {
+            assert_eq!(wb.find_block(e.block), Some(i), "index at step {step}");
+        }
+    }
+
+    #[test]
+    fn ring_matches_vecdeque_model() {
+        for cap in [1usize, 2, 5, 16] {
+            let mut rng = Xoshiro256StarStar::seeded(0x5EED ^ cap as u64);
+            let mut wb = CoalescingWriteBuffer::new(cap);
+            let mut m = Model {
+                cap,
+                ..Model::default()
+            };
+            let mut pops = 0usize;
+            // A block universe a little larger than the buffer, so pushes
+            // hit, miss and fill it in about equal measure.
+            let universe = cap as u64 * 2 + 1;
+            for step in 0..20_000 {
+                let block = rng.below(universe) + 1;
+                let word = rng.below(32) as WordIdx;
+                match rng.below(8) {
+                    0..=2 => {
+                        let shared = rng.below(2) == 0;
+                        let addr = block * 128 + word as u64 * 4;
+                        assert_eq!(
+                            wb.push(block, addr, word, shared),
+                            m.push(block, addr, word, shared),
+                            "push at step {step}"
+                        );
+                    }
+                    3 | 4 => {
+                        let got = wb.pop();
+                        assert_eq!(got, m.q.pop_front(), "pop at step {step}");
+                        pops += got.is_some() as usize;
+                    }
+                    5 => {
+                        assert_eq!(wb.holds_block(block), m.find_block(block).is_some());
+                    }
+                    6 => {
+                        let idx = wb.find_block(block);
+                        assert_eq!(idx, m.find_block(block), "find at step {step}");
+                        if let Some(i) = idx {
+                            let bits = rng.next_u64() as u32;
+                            let count = rng.below(5) + 1;
+                            wb.coalesce_at(i, block, bits, count);
+                            m.coalesce_at(i, bits, count);
+                        }
+                    }
+                    _ => {
+                        let bits = rng.next_u64() as u32;
+                        let count = rng.below(5) + 1;
+                        let held = m.find_block(block);
+                        if let Some(i) = held {
+                            m.coalesce_at(i, bits, count);
+                        }
+                        assert_eq!(wb.coalesce_run(block, bits, count), held.is_some());
+                    }
+                }
+                assert_same(&wb, &m, step);
+            }
+            // Many trips round the ring, whatever the capacity.
+            assert!(pops > 20 * cap, "cap {cap}: only {pops} pops");
+            while let Some(e) = m.q.pop_front() {
+                assert_eq!(wb.pop(), Some(e));
+            }
+            assert_eq!(wb.pop(), None);
+        }
     }
 }

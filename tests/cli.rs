@@ -132,6 +132,70 @@ fn truncated_baseline_exits_two_naming_the_file() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// A baseline nested 200,000 arrays deep is past the JSON reader's
+/// depth cap: `bench-compare` exits 2 naming the file, where an
+/// unbounded recursive reader would overflow the stack and abort.
+#[test]
+fn deeply_nested_baseline_exits_two_naming_the_file() {
+    let dir = scratch("deep-baseline");
+    let path = dir.join("BENCH_engine.json");
+    std::fs::write(&path, "[".repeat(200_000)).unwrap();
+    let path = path.to_str().unwrap();
+    let out = netcache(&["bench-compare", "--baseline", path]);
+    assert_eq!(out.status.code(), Some(2), "stderr: {}", stderr_of(&out));
+    let err = stderr_of(&out);
+    assert!(err.contains(path), "file not named: {err}");
+    assert!(
+        err.contains("nesting deeper than"),
+        "cause not named: {err}"
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A store record rewritten as 30,000 nested arrays must not abort a
+/// storing sweep: the record is a corrupt miss, the cell is recomputed
+/// and the sweep exits 0.
+#[test]
+fn deeply_nested_store_record_heals_and_exits_zero() {
+    let dir = scratch("deep-record");
+    let store = dir.join("store");
+    let store = store.to_str().unwrap();
+    let sweep = |csv: &str| {
+        netcache(&[
+            "sweep", "fft", "--archs", "netcache", "--procs", "4", "--scale", "0.02", "--quiet",
+            "--store", store, "--csv", csv,
+        ])
+    };
+    let cold_csv = dir.join("cold.csv");
+    let out = sweep(cold_csv.to_str().unwrap());
+    assert_eq!(out.status.code(), Some(0), "stderr: {}", stderr_of(&out));
+    let records: Vec<_> = std::fs::read_dir(store)
+        .unwrap()
+        .map(|e| e.unwrap().path())
+        .collect();
+    assert_eq!(records.len(), 1);
+    std::fs::write(&records[0], format!("{{\"a\":{}", "[".repeat(30_000))).unwrap();
+    let healed_csv = dir.join("healed.csv");
+    let out = sweep(healed_csv.to_str().unwrap());
+    assert_eq!(out.status.code(), Some(0), "stderr: {}", stderr_of(&out));
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(
+        stdout.contains("cached 0 / computed 1 / invalidated 1"),
+        "{stdout}"
+    );
+    // The simulated columns (the 14 before `wall_ms`) match the cold
+    // run.
+    let cols = |p: &PathBuf| -> Vec<String> {
+        std::fs::read_to_string(p)
+            .unwrap()
+            .lines()
+            .map(|l| l.split(',').take(14).collect::<Vec<_>>().join(","))
+            .collect()
+    };
+    assert_eq!(cols(&cold_csv), cols(&healed_csv));
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// An output path whose directory does not exist is a named error
 /// (exit 2, naming `--json`), not a panic after the sweep has run.
 #[test]

@@ -124,6 +124,37 @@ fn corrupted_cell_is_recomputed_and_healed_in_place() {
     let _ = fs::remove_dir_all(&dir);
 }
 
+/// A record nested far past the JSON reader's depth cap is a corrupt
+/// miss like any other: the cell is recomputed (its digest equal to a
+/// storeless run's) and the record rewritten, instead of the reader's
+/// recursion overflowing a worker's stack and aborting the sweep.
+#[test]
+fn deeply_nested_record_is_recomputed_not_a_stack_overflow() {
+    let dir = scratch("deep");
+    let sweep = small_sweep();
+    let store = Store::open(&dir).unwrap();
+    sweep.run_stored(2, &NoopObserver, Some(&store));
+
+    let victim = &sweep.points()[2];
+    let path = store.record_path(point_key(victim));
+    fs::write(&path, format!("{{\"a\":{}", "[".repeat(30_000))).unwrap();
+
+    let warm_store = Store::open(&dir).unwrap();
+    let warm = sweep.run_stored(2, &NoopObserver, Some(&warm_store));
+    assert_eq!(warm.computed_cells(), 1);
+    assert_eq!(warm_store.stats().invalidated, 1);
+    let clean = sweep.run(1);
+    for (w, c) in warm.runs.iter().zip(&clean.runs) {
+        assert_eq!(w.report.digest(), c.report.digest(), "{} differs", w.label);
+    }
+    let healed = fs::read_to_string(&path).unwrap();
+    assert!(
+        healed.starts_with('{') && !healed.contains("[[["),
+        "record not rewritten"
+    );
+    let _ = fs::remove_dir_all(&dir);
+}
+
 #[test]
 fn compare_and_speedup_read_through_the_store() {
     let dir = scratch("readthrough");
