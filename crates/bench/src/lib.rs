@@ -315,7 +315,7 @@ mod tests {
     fn bad_knobs_name_the_variable() {
         // Unparseable, or a machine the simulator cannot build: 128
         // channels do not split over 20 nodes, 0 nodes is no machine,
-        // and sharer sets cap a machine at 64 nodes.
+        // and validation caps a machine at 64 nodes.
         for v in ["sixteen", "", "-4", "2.5", "20", "0", "128"] {
             let e = parse_knobs(Some(v), None).expect_err(v);
             assert!(e.contains("NETCACHE_PROCS"), "{v}: {e}");

@@ -215,8 +215,9 @@ impl RingConfig {
     }
 }
 
-/// Largest machine [`SysConfig::validate`] accepts: sharer sets
-/// (`SharerMap`, the update broadcast) are one `u64` bit per node.
+/// Largest machine [`SysConfig::validate`] accepts: the 64-node
+/// star-of-rings (four 16-node clusters) is the largest machine the
+/// golden digests and the benchmark pin, so bigger ones are unvalidated.
 const MAX_NODES: usize = 64;
 
 /// Full machine configuration.
@@ -341,8 +342,8 @@ impl SysConfig {
         }
         if self.nodes > MAX_NODES {
             return Err(format!(
-                "at most {MAX_NODES} nodes are supported (got {}): sharer sets \
-                 are one u64 bit per node",
+                "at most {MAX_NODES} nodes are supported (got {}): larger \
+                 machines are not validated",
                 self.nodes
             ));
         }

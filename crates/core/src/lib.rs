@@ -39,7 +39,6 @@ pub mod metrics;
 pub mod proto;
 pub mod ring;
 pub mod runner;
-pub mod sharers;
 pub mod store;
 pub mod sweep;
 pub mod topology;

@@ -17,9 +17,8 @@
 use std::collections::VecDeque;
 use std::time::Instant;
 
-use crate::sharers::SharerMap;
 use desim::{EventQueue, Time};
-use memsys::{Addr, AddressMap, PushOutcome, ReadOutcome};
+use memsys::{Addr, AddressMap, PushOutcome};
 use netcache_apps::{MacroOp, Nest, Op, OpStream, Slot, Workload};
 
 use crate::config::SysConfig;
@@ -90,9 +89,9 @@ enum Event {
     WbKick(usize),
 }
 
-/// The per-processor elision context: disjoint borrows of everything the
-/// elided fast path mutates, split out of [`Machine`] so the op stream
-/// can be walked while ops are applied.
+/// The per-processor private-op context: disjoint borrows of everything
+/// a private op mutates, split out of [`Machine`] so the op stream can be
+/// walked while ops are applied.
 struct ElideEnv<'a> {
     node: &'a mut Node,
     st: &'a mut NodeStats,
@@ -103,9 +102,8 @@ struct ElideEnv<'a> {
     pace: u64,
     retiring: bool,
     p: usize,
-    /// Reads that hit node-private state may retire inline (see
-    /// [`Machine::read_hits`]).
-    read_hits: bool,
+    /// Nests may retire in batches (see [`Machine::batch_nests`]).
+    batch_nests: bool,
     /// Batch segmentation granularity: the finest private line size
     /// (L1 lines may be smaller than the coherence block), so a segment
     /// never spans two L1 lines and one probe speaks for every address.
@@ -113,11 +111,13 @@ struct ElideEnv<'a> {
 }
 
 impl ElideEnv<'_> {
-    /// Applies one scalar op exactly as the general path would, for the
-    /// elision-safe classes. Returns `false` — with *nothing* mutated —
-    /// when the op must go to the general path instead: a sync op, a
-    /// read under a set-associative private cache, a read missing all
-    /// node-private state, or a write that would stall.
+    /// Retires one op that touches only node-private state: compute, a
+    /// read hitting the L1, the L2 or the write buffer, or a write-buffer
+    /// push that cannot stall. This is the only code that retires those
+    /// classes; elided runs and [`Machine::run_proc`] both call it.
+    /// Returns `false` — with *nothing* mutated — when the op needs
+    /// shared resources instead: a sync op, a read missing all
+    /// node-private state, or a write to a full buffer.
     #[inline]
     fn apply(&mut self, op: Op, now: &mut Time) -> bool {
         match op {
@@ -127,7 +127,7 @@ impl ElideEnv<'_> {
                 self.st.busy += scaled;
                 true
             }
-            Op::Read(addr) if self.read_hits => {
+            Op::Read(addr) => {
                 if self.node.l1.read_hit(addr) {
                     self.st.reads += 1;
                     self.st.l1_hits += 1;
@@ -147,8 +147,8 @@ impl ElideEnv<'_> {
                     self.st.read_stall += 1;
                     *now += 2;
                 } else {
-                    // Private miss: the general path owns the run-ahead
-                    // resync and the protocol transaction.
+                    // Private miss: `run_proc` owns the run-ahead resync
+                    // and the protocol transaction.
                     return false;
                 }
                 true
@@ -156,8 +156,8 @@ impl ElideEnv<'_> {
             Op::Write(addr) => {
                 let block = self.map.block_of(addr);
                 if self.node.wb.is_full() && !self.node.wb.holds_block(block) {
-                    // Would stall; the general path pushes (counting the
-                    // full event exactly once) and blocks.
+                    // Would stall; `run_proc` pushes (counting the full
+                    // event exactly once) and blocks.
                     return false;
                 }
                 let out = self.node.wb.push(
@@ -178,8 +178,7 @@ impl ElideEnv<'_> {
                 }
                 true
             }
-            // Sync ops (and gated reads): general path.
-            _ => false,
+            Op::Acquire(_) | Op::Release(_) | Op::Barrier(_) => false,
         }
     }
 
@@ -210,8 +209,8 @@ impl ElideEnv<'_> {
 
     /// [`span_iters`](Self::span_iters) inside `a`'s coherence block: one
     /// write-buffer entry (and one L2 tag) covers the span; the L1 lines
-    /// inside it need no individual stamp refreshes because elision only
-    /// batches on direct-mapped caches, where stamps never influence a
+    /// inside it need no individual stamp refreshes because nests only
+    /// batch on direct-mapped caches, where stamps never influence a
     /// victim choice.
     #[inline]
     fn blk_iters(&self, a: Addr, stride: u64, rem: u64) -> u64 {
@@ -272,21 +271,19 @@ struct Machine<P: Protocol> {
     /// Per processor: a WbKick event is already scheduled.
     kick_pending: Vec<bool>,
     live: usize,
-    /// Reads that hit node-private state may retire inside elided runs
-    /// (see [`Machine::elide_run`]). A read-hit probe skips the LRU/miss
-    /// bookkeeping a canonical access performs; that is unobservable only
-    /// when replacement never has a choice, i.e. both private caches are
-    /// direct-mapped. Compute and non-stalling write-buffer pushes are
-    /// always elidable: every protocol applies a peer's coherence actions
-    /// to this node's caches at the peer's own retirement event, so a
-    /// node-local probe sees what an event-by-event execution would.
-    read_hits: bool,
+    /// Private ops retire back to back inside the current event (see
+    /// [`Machine::elide_run`]). Always on outside tests; the unit tests
+    /// turn it off to check that elision changes no result.
+    elide: bool,
+    /// Nests may retire in batches inside elided runs. A batch commits a
+    /// line's accesses in one stamp refresh, which reorders LRU stamps
+    /// within the batch; that is unobservable only when replacement never
+    /// has a choice, i.e. both private caches are direct-mapped.
+    batch_nests: bool,
     /// Ops retired across all processors (any path).
     ops_done: u64,
     /// Ops retired inside elided runs.
     elided: u64,
-    /// Which nodes ever filled each block (exact-negative update filter).
-    sharers: SharerMap,
 }
 
 impl<P: Protocol> Machine<P> {
@@ -341,10 +338,10 @@ impl<P: Protocol> Machine<P> {
             stats: vec![NodeStats::default(); n],
             kick_pending: vec![false; n],
             live: n,
-            read_hits: cfg.l1.assoc == 1 && cfg.l2.assoc == 1,
+            elide: true,
+            batch_nests: cfg.l1.assoc == 1 && cfg.l2.assoc == 1,
             ops_done: 0,
             elided: 0,
-            sharers: SharerMap::new(),
         }
     }
 
@@ -466,13 +463,8 @@ impl<P: Protocol> Machine<P> {
             self.wake(p, t, Stall::Wb);
         }
         let ack_at = if entry.shared {
-            self.proto.retire_shared_write(
-                &mut self.nodes,
-                p,
-                &entry,
-                t,
-                self.sharers.sharers(entry.block),
-            )
+            self.proto
+                .retire_shared_write(&mut self.nodes, p, &entry, t)
         } else {
             // Private write: drains into the local memory, no coherence.
             let (applied, _) = self.nodes[p].mem.apply_update(t + 1, entry.words());
@@ -494,11 +486,6 @@ impl<P: Protocol> Machine<P> {
 
     /// Fills the L2 (routing any eviction through the protocol) and L1.
     fn fill_caches(&mut self, p: usize, addr: u64, t: Time) {
-        // Every peer-visible cache allocation funnels through here: note
-        // the sharer bit that licenses update broadcasts to probe `p`.
-        // (L1-only fills elsewhere copy a block the L2 already holds, so
-        // their bit is already set.)
-        self.sharers.note(p, self.map.block_of(addr));
         if let Some(ev) = self.nodes[p].l2.fill(addr, false) {
             self.proto
                 .evicted_l2(&mut self.nodes, p, ev.block, ev.dirty, t);
@@ -506,23 +493,11 @@ impl<P: Protocol> Machine<P> {
         self.nodes[p].l1.fill(addr, false);
     }
 
-    /// Executes one read; returns the completion time.
-    fn do_read(&mut self, p: usize, addr: u64, now: Time) -> Time {
+    /// Executes one read that missed the L1, the L2 and the write buffer
+    /// (the hits retire in [`ElideEnv::apply`]); returns the completion
+    /// time.
+    fn read_miss(&mut self, p: usize, addr: u64, now: Time) -> Time {
         self.stats[p].reads += 1;
-        if self.nodes[p].l1.read(addr) == ReadOutcome::Hit {
-            self.stats[p].l1_hits += 1;
-            return now + 1;
-        }
-        if self.nodes[p].l2.read(addr) == ReadOutcome::Hit {
-            self.stats[p].l2_hits += 1;
-            self.nodes[p].l1.fill(addr, false);
-            return now + self.cfg.l2_hit_latency;
-        }
-        // Reads bypass (and forward from) the write buffer.
-        if self.nodes[p].wb.holds_block(self.map.block_of(addr)) {
-            self.stats[p].wb_forwards += 1;
-            return now + 2;
-        }
         let t0 = now + 5; // L1 + L2 tag checks
         let shared_remote = self.map.is_shared(addr) && self.map.home_of(addr) != p;
         let done = if shared_remote {
@@ -544,27 +519,26 @@ impl<P: Protocol> Machine<P> {
         done
     }
 
-    /// Fast-forwards a run of elision-safe ops inline: compute, reads
-    /// that hit node-private state (L1, L2, write-buffer forward), and
-    /// write-buffer pushes that cannot stall. These ops touch no shared
-    /// resource, so executing them back to back inside the current event
-    /// — instead of once per trip around `run_proc`'s general loop — is
-    /// invisible to the rest of the machine: the per-op state mutations,
-    /// stats, local-time advance, and any WbKick scheduling are replicated
-    /// exactly (see DESIGN.md, "Event elision" and "Macro-op streams").
-    /// Stops at the first op that may block, miss, or synchronize, leaving
-    /// it unconsumed for the general path, or when `now` passes `deadline`
-    /// (the slice cap).
+    /// Fast-forwards a run of private ops inline: compute, reads that hit
+    /// node-private state (L1, L2, write-buffer forward), and write-buffer
+    /// pushes that cannot stall. These ops touch no shared resource, so
+    /// retiring them back to back inside the current event — instead of
+    /// once per trip around `run_proc`'s loop — is invisible to the rest
+    /// of the machine: both paths retire each op through the same
+    /// [`ElideEnv::apply`] (see DESIGN.md, "Event elision" and "Macro-op
+    /// streams"). Stops at the first op that may block, miss, or
+    /// synchronize, leaving it unconsumed for `run_proc`, or when `now`
+    /// passes `deadline` (the slice cap).
     ///
-    /// Beyond the scalar per-op path ([`ElideEnv::apply`]), this walks the
-    /// stream's *macro* form: a [`Nest`] that stays inside node-private
-    /// state retires in O(lines touched) — one cache or buffer probe per
-    /// distinct private line — instead of O(ops). The batched commits
-    /// reproduce the scalar mutations to the bit: counters and local time
-    /// are additive, and same-line run probes leave the final LRU stamp
-    /// and dirty bits identical to the per-op loop. Any op the batch
-    /// analysis cannot prove safe falls back to the scalar path, which
-    /// bails to the general path exactly where the per-op engine did.
+    /// Beyond the scalar per-op path, this walks the stream's *macro*
+    /// form: a [`Nest`] that stays inside node-private state retires in
+    /// O(lines touched) — one cache or buffer probe per distinct private
+    /// line — instead of O(ops). The batched commits reproduce the scalar
+    /// mutations to the bit: counters and local time are additive, and
+    /// same-line run probes leave the final LRU stamp and dirty bits
+    /// identical to the per-op loop. Any op the batch analysis cannot
+    /// prove safe falls back to the scalar path, which bails to
+    /// `run_proc` exactly where the per-op engine did.
     fn elide_run(&mut self, p: usize, now: &mut Time, deadline: Time) {
         // The nest is copied out of the stream borrow on purpose: the
         // retirement loop below consumes the stream mutably, and one
@@ -581,36 +555,7 @@ impl<P: Protocol> Machine<P> {
             },
             Nested(Nest),
         }
-        let Machine {
-            procs,
-            nodes,
-            stats,
-            queue,
-            kick_pending,
-            map,
-            cfg,
-            read_hits,
-            ops_done,
-            elided,
-            ..
-        } = self;
-        let proc = &mut procs[p];
-        let mut env = ElideEnv {
-            node: &mut nodes[p],
-            st: &mut stats[p],
-            queue,
-            kick_pending: &mut kick_pending[p],
-            map,
-            l2_lat: cfg.l2_hit_latency,
-            pace: proc.pace,
-            // No retirement can start inside this loop: a WbKick only
-            // fires from the event queue, which we are not touching.
-            retiring: proc.retiring,
-            p,
-            read_hits: *read_hits,
-            seg_bytes: cfg.l1.block_bytes.min(map.block_bytes),
-        };
-        let stream = &mut proc.stream;
+        let (mut env, stream) = self.private(p);
         let mut done = 0u64;
         'run: loop {
             // Scalar spill first: a partial nest iteration left over from
@@ -674,10 +619,9 @@ impl<P: Protocol> Machine<P> {
                     }
                 }
                 Head::Nested(nest) => {
-                    if !env.read_hits {
-                        // The batch verifies reads by probe; without the
-                        // read-hit gate the general path retires the nest
-                        // op by op.
+                    if !env.batch_nests {
+                        // Set-associative private caches: `run_proc`
+                        // retires the nest op by op.
                         break 'run;
                     }
                     let n = nest.n();
@@ -693,12 +637,6 @@ impl<P: Protocol> Machine<P> {
                         };
                     }
                     let mut it = iter;
-                    // Verify-fail memo: the slot that broke the last bulk
-                    // attempt. A persistently non-resident slot (e.g. a
-                    // read of a line a peer keeps refreshing away) then
-                    // costs one probe per scalar iteration instead of a
-                    // full verify sweep.
-                    let mut hint = usize::MAX;
                     while it < n && *now <= deadline {
                         // A batch spans as many iterations as every slot
                         // can retire with one commit call: write slots stay
@@ -709,7 +647,6 @@ impl<P: Protocol> Machine<P> {
                         // batch is unobservable under the direct-mapped
                         // gate that enables this path.
                         let mut seg = n - it;
-                        let mut bulk_ok = true;
                         // Write slots opening a fresh buffer entry this
                         // batch (bit per slot index), and the buffer
                         // index each committing slot coalesces into (one
@@ -718,39 +655,24 @@ impl<P: Protocol> Machine<P> {
                         let mut push_mask = 0u16;
                         let mut pushes = 0usize;
                         let mut widx = [0u8; 16];
-                        if hint != usize::MAX {
-                            let still = match slots[hint] {
-                                Slot::Read { base, stride } => {
-                                    !env.node.l1.contains(base + it * stride)
-                                }
-                                _ => false,
-                            };
-                            if still {
-                                bulk_ok = false;
-                            } else {
-                                hint = usize::MAX;
-                            }
-                        }
                         let mut push_writeif = false;
-                        if bulk_ok {
-                            // Write-like slots first: they clamp the span
-                            // cheaply, so the read pass never probes lines
-                            // past the batch.
-                            for (si, s) in slots.iter().enumerate() {
-                                let (base, stride, gated) = match *s {
-                                    Slot::Write { base, stride } => (base, stride, false),
-                                    Slot::WriteIf { base, stride } => (base, stride, true),
-                                    _ => continue,
-                                };
-                                let a = base + it * stride;
-                                seg = seg.min(env.blk_iters(a, stride, seg));
-                                match env.node.wb.find_block(env.map.block_of(a)) {
-                                    Some(i) => widx[si] = i as u8,
-                                    None => {
-                                        push_mask |= 1 << si;
-                                        pushes += 1;
-                                        push_writeif |= gated;
-                                    }
+                        // Write-like slots first: they clamp the span
+                        // cheaply, so the read pass never probes lines
+                        // past the batch.
+                        for (si, s) in slots.iter().enumerate() {
+                            let (base, stride, gated) = match *s {
+                                Slot::Write { base, stride } => (base, stride, false),
+                                Slot::WriteIf { base, stride } => (base, stride, true),
+                                _ => continue,
+                            };
+                            let a = base + it * stride;
+                            seg = seg.min(env.blk_iters(a, stride, seg));
+                            match env.node.wb.find_block(env.map.block_of(a)) {
+                                Some(i) => widx[si] = i as u8,
+                                None => {
+                                    push_mask |= 1 << si;
+                                    pushes += 1;
+                                    push_writeif |= gated;
                                 }
                             }
                         }
@@ -765,18 +687,16 @@ impl<P: Protocol> Machine<P> {
                         // two creations in one batch could land in the
                         // buffer out of FIFO order — batch only when the
                         // creation this round is unique.
-                        if bulk_ok && pushes > 0 {
-                            bulk_ok = (env.retiring || *env.kick_pending)
+                        let mut bulk_ok = pushes == 0
+                            || ((env.retiring || *env.kick_pending)
                                 && env.node.wb.room() >= pushes
-                                && !(push_writeif && pushes > 1);
-                        }
+                                && !(push_writeif && pushes > 1));
                         if bulk_ok {
-                            for (si, s) in slots.iter().enumerate() {
+                            for s in slots {
                                 if let Slot::Read { base, stride } = *s {
                                     let a = base + it * stride;
                                     if !env.node.l1.contains(a) {
                                         bulk_ok = false;
-                                        hint = si;
                                         break;
                                     }
                                     // Extend the verified span line by
@@ -900,24 +820,18 @@ impl<P: Protocol> Machine<P> {
                         // a bail or a deadline crossing, the unretired
                         // tail of the iteration spills to the scalar
                         // buffer and the cursor moves past the iteration.
-                        let mut si = 0;
-                        while si < slots.len() {
-                            if let Some(op) = slots[si].op_at(it, wmask) {
+                        for (si, s) in slots.iter().enumerate() {
+                            if let Some(op) = s.op_at(it, wmask) {
                                 if !env.apply(op, now) {
                                     stream.spill_iter_tail(si);
-                                    *ops_done += done;
-                                    *elided += done;
-                                    return;
+                                    break 'run;
                                 }
                                 done += 1;
                                 if *now > deadline {
                                     stream.spill_iter_tail(si + 1);
-                                    *ops_done += done;
-                                    *elided += done;
-                                    return;
+                                    break 'run;
                                 }
                             }
-                            si += 1;
                         }
                         stream.consume_iters(1);
                         it += 1;
@@ -928,8 +842,31 @@ impl<P: Protocol> Machine<P> {
                 }
             }
         }
-        *ops_done += done;
-        *elided += done;
+        self.ops_done += done;
+        self.elided += done;
+    }
+
+    /// Splits processor `p`'s private-op context and op stream out of the
+    /// machine: the one constructor behind [`elide_run`](Self::elide_run)
+    /// and [`run_proc`](Self::run_proc).
+    fn private(&mut self, p: usize) -> (ElideEnv<'_>, &mut OpStream) {
+        let proc = &mut self.procs[p];
+        let env = ElideEnv {
+            node: &mut self.nodes[p],
+            st: &mut self.stats[p],
+            queue: &mut self.queue,
+            kick_pending: &mut self.kick_pending[p],
+            map: &self.map,
+            l2_lat: self.cfg.l2_hit_latency,
+            pace: proc.pace,
+            // No retirement can start while the context lives: a WbKick
+            // only fires from the event queue, which nothing here pops.
+            retiring: proc.retiring,
+            p,
+            batch_nests: self.batch_nests,
+            seg_bytes: self.cfg.l1.block_bytes.min(self.map.block_bytes),
+        };
+        (env, &mut proc.stream)
     }
 
     /// The processor execution loop: runs ops until blocking or done.
@@ -938,7 +875,7 @@ impl<P: Protocol> Machine<P> {
         let mut now = start;
         let deadline = start + SLICE;
         loop {
-            if self.procs[p].pending.is_none() {
+            if self.elide && self.procs[p].pending.is_none() {
                 self.elide_run(p, &mut now, deadline);
                 if now > deadline {
                     self.schedule_resume(p, now);
@@ -961,27 +898,21 @@ impl<P: Protocol> Machine<P> {
                 },
             };
             match op {
-                Op::Compute(n) => {
-                    let scaled = (n as Time * self.procs[p].pace).div_ceil(100);
-                    now += scaled;
-                    self.stats[p].busy += scaled;
-                }
+                // Every op is offered to the private path first; the arms
+                // below handle only what needs shared resources.
+                _ if self.private(p).0.apply(op, &mut now) => {}
+                Op::Compute(_) => unreachable!("compute always retires privately"),
                 Op::Read(addr) => {
-                    // L1/L2/write-buffer hits touch only node-local state
-                    // and may run ahead of the global clock; anything that
-                    // acquires shared resources (memory, channels, ring)
-                    // must execute in global-time order or later requests
-                    // would queue behind phantom future reservations.
-                    if now > self.queue.now()
-                        && !self.nodes[p].l1.contains(addr)
-                        && !self.nodes[p].l2.contains(addr)
-                        && !self.nodes[p].wb.holds_block(self.map.block_of(addr))
-                    {
+                    // A miss acquires shared resources (memory, channels,
+                    // ring), so it must execute in global-time order or
+                    // later requests would queue behind phantom future
+                    // reservations: resync a run-ahead processor first.
+                    if now > self.queue.now() {
                         self.procs[p].pending = Some(op);
                         self.schedule_resume(p, now);
                         return;
                     }
-                    let done = self.do_read(p, addr, now);
+                    let done = self.read_miss(p, addr, now);
                     self.stats[p].busy += 1;
                     self.stats[p].read_stall += done - now - 1;
                     if done > now + self.cfg.l2_hit_latency {
@@ -997,30 +928,16 @@ impl<P: Protocol> Machine<P> {
                     let block = self.map.block_of(addr);
                     let word = self.map.word_in_block(addr);
                     let shared = self.map.is_shared(addr);
-                    match self.nodes[p].wb.push(block, addr, word, shared) {
-                        PushOutcome::Full => {
-                            self.procs[p].pending = Some(op);
-                            self.procs[p].state = ProcState::BlockedWbFull;
-                            self.procs[p].block_start = now;
-                            // Either a retirement is in flight or the kick
-                            // event for one is pending; it will wake us
-                            // when an entry leaves the buffer.
-                            debug_assert!(self.procs[p].retiring || self.kick_pending[p]);
-                            return;
-                        }
-                        _ => {
-                            now += 1;
-                            self.stats[p].busy += 1;
-                            self.stats[p].writes += 1;
-                            // The writer's own caches see the new value.
-                            self.nodes[p].l1.write_update(addr, false);
-                            self.nodes[p].l2.write_update(addr, false);
-                            if !self.procs[p].retiring && !self.kick_pending[p] {
-                                self.kick_pending[p] = true;
-                                schedule_clamped(&mut self.queue, now, Event::WbKick(p));
-                            }
-                        }
-                    }
+                    let out = self.nodes[p].wb.push(block, addr, word, shared);
+                    debug_assert!(matches!(out, PushOutcome::Full));
+                    self.procs[p].pending = Some(op);
+                    self.procs[p].state = ProcState::BlockedWbFull;
+                    self.procs[p].block_start = now;
+                    // Either a retirement is in flight or the kick event
+                    // for one is pending; it will wake us when an entry
+                    // leaves the buffer.
+                    debug_assert!(self.procs[p].retiring || self.kick_pending[p]);
+                    return;
                 }
                 Op::Acquire(l) => {
                     if now > self.queue.now() {
@@ -1221,13 +1138,110 @@ pub fn run_workload(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::Arch;
+    use crate::config::{Arch, TopoKind};
     use netcache_apps::AppId;
 
     fn run(arch: Arch, app: AppId, procs: usize, scale: f64) -> RunReport {
         let cfg = SysConfig::base(arch).with_nodes(procs.max(1));
         let wl = Workload::new(app, procs).scale(scale);
         run_workload(&cfg, &wl, &mut EngineScratch::new())
+    }
+
+    /// [`run_streams`] with elision off: every op goes through
+    /// `run_proc` one at a time.
+    fn run_unelided(cfg: &SysConfig, streams: Vec<OpStream>) -> RunReport {
+        fn go<P: Protocol>(
+            cfg: &SysConfig,
+            streams: Vec<OpStream>,
+            build: impl FnOnce(&SysConfig, AddressMap) -> P,
+        ) -> RunReport {
+            let mut scratch = EngineScratch::new();
+            let mut m = Machine::with_proto(cfg, streams, build, &mut scratch);
+            m.elide = false;
+            m.run(&mut scratch)
+        }
+        use crate::proto::{DmonI, DmonU, LambdaNet, NetCacheProto};
+        match cfg.arch {
+            Arch::NetCache => go(cfg, streams, NetCacheProto::new),
+            Arch::LambdaNet => go(cfg, streams, LambdaNet::new),
+            Arch::DmonU => go(cfg, streams, DmonU::new),
+            Arch::DmonI => go(cfg, streams, DmonI::new),
+        }
+    }
+
+    /// The elision oracle: retiring private ops back to back inside one
+    /// event must be invisible. Every app on every protocol over `base`'s
+    /// fabric and caches gives the same report digest and the same event
+    /// count with elision on and off.
+    fn assert_elision_invisible(base: SysConfig) {
+        for arch in Arch::ALL {
+            let cfg = SysConfig { arch, ..base };
+            for app in AppId::ALL {
+                let wl = Workload::new(app, cfg.nodes).scale(0.01);
+                let on = run_workload(&cfg, &wl, &mut EngineScratch::new());
+                let map = AddressMap::new(cfg.nodes, cfg.l2.block_bytes);
+                let off = run_unelided(&cfg, wl.streams(&map));
+                let cell = format!("{}/{}/{:?}", arch.name(), app.name(), cfg.topo.kind);
+                assert!(on.elided_ops > 0 && off.elided_ops == 0, "{cell}");
+                assert_eq!(on.events, off.events, "{cell}: event count");
+                assert_eq!(on.digest(), off.digest(), "{cell}: digest");
+            }
+        }
+    }
+
+    #[test]
+    fn elision_is_invisible_across_slice_boundaries() {
+        // Private stretches of about four slices each: an elided run
+        // must stop at every slice cap exactly where op-by-op execution
+        // does, or the resume events move.
+        let cfg = SysConfig::base(Arch::NetCache).with_nodes(2);
+        let streams = || {
+            (0..2u64)
+                .map(|p| {
+                    let base = p * memsys::addr::PRIVATE_REGION;
+                    let ops = (0..20_000u64)
+                        .flat_map(|i| [Op::Compute(3), Op::Read(base + i % 64 * 8)])
+                        .chain([Op::Barrier(0)]);
+                    OpStream::from_ops(ops.collect())
+                })
+                .collect::<Vec<_>>()
+        };
+        let on = run_streams(&cfg, streams(), &mut EngineScratch::new());
+        let off = run_unelided(&cfg, streams());
+        assert!(on.cycles > 4 * SLICE, "{} cycles", on.cycles);
+        assert_eq!(on.events, off.events);
+        assert_eq!(on.digest(), off.digest());
+    }
+
+    #[test]
+    fn elision_is_invisible_on_the_single_ring() {
+        assert_elision_invisible(SysConfig::base(Arch::NetCache).with_nodes(4));
+    }
+
+    #[test]
+    fn elision_is_invisible_on_two_rings() {
+        let cfg = SysConfig::base(Arch::NetCache)
+            .with_nodes(4)
+            .with_topology(TopoKind::MultiRing)
+            .with_rings(2);
+        assert_elision_invisible(cfg);
+    }
+
+    #[test]
+    fn elision_is_invisible_on_the_star_of_rings() {
+        // Two 16-node clusters: the smallest star with cross-cluster hops.
+        let cfg = SysConfig::base(Arch::NetCache)
+            .with_nodes(32)
+            .with_topology(TopoKind::StarOfRings);
+        assert_elision_invisible(cfg);
+    }
+
+    #[test]
+    fn elision_is_invisible_with_set_associative_caches() {
+        let mut cfg = SysConfig::base(Arch::NetCache).with_nodes(4);
+        cfg.l1.assoc = 2;
+        cfg.l2.assoc = 4;
+        assert_elision_invisible(cfg);
     }
 
     #[test]

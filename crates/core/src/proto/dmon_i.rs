@@ -266,10 +266,6 @@ impl Protocol for DmonI {
         node: usize,
         entry: &WriteEntry,
         t: Time,
-        // DMON-I fills its own L2 outside the machine's fill chokepoint
-        // (write-ownership fetch), so the exact-negative argument does
-        // not cover it: keep the full invalidation walk.
-        _sharers: u64,
     ) -> Time {
         let block = entry.block;
         // Already the owner with the block cached: a pure local write.
@@ -399,7 +395,7 @@ mod tests {
         // Pre-cache the block so no write fetch is needed.
         nodes[0].l2.fill(a, false);
         let t = 400;
-        let ack = p.retire_shared_write(&mut nodes, 0, &entry_for(&map, a), t, u64::MAX);
+        let ack = p.retire_shared_write(&mut nodes, 0, &entry_for(&map, a), t);
         let expect = latency::total(&latency::dmon_i_invalidate(&SysConfig::base(Arch::DmonI)));
         let lat = (ack - t) as i64;
         assert!((lat - expect as i64).abs() <= 17, "lat {lat} vs {expect}");
@@ -411,9 +407,9 @@ mod tests {
         let (mut p, mut nodes, map) = setup();
         let a = remote_addr(&map, 0);
         nodes[0].l2.fill(a, false);
-        p.retire_shared_write(&mut nodes, 0, &entry_for(&map, a), 0, u64::MAX);
+        p.retire_shared_write(&mut nodes, 0, &entry_for(&map, a), 0);
         let t = 1000;
-        let ack = p.retire_shared_write(&mut nodes, 0, &entry_for(&map, a), t, u64::MAX);
+        let ack = p.retire_shared_write(&mut nodes, 0, &entry_for(&map, a), t);
         assert_eq!(ack - t, 12, "owner write: tag + write only");
         assert_eq!(p.counters().local_writes, 1);
     }
@@ -423,7 +419,7 @@ mod tests {
         let (mut p, mut nodes, map) = setup();
         let a = remote_addr(&map, 0);
         let t = 0;
-        let ack = p.retire_shared_write(&mut nodes, 0, &entry_for(&map, a), t, u64::MAX);
+        let ack = p.retire_shared_write(&mut nodes, 0, &entry_for(&map, a), t);
         // Just the invalidation transaction (~37); no 130-cycle fetch.
         assert!(ack - t < 80, "got {}", ack - t);
         assert_eq!(p.counters().write_fetches, 1);
@@ -440,7 +436,7 @@ mod tests {
         nodes[0].l2.fill(a, false);
         nodes[5].l2.fill(a, false);
         nodes[5].l1.fill(a, false);
-        p.retire_shared_write(&mut nodes, 0, &entry_for(&map, a), 0, u64::MAX);
+        p.retire_shared_write(&mut nodes, 0, &entry_for(&map, a), 0);
         assert!(!nodes[5].l2.contains(a), "remote L2 invalidated");
         assert!(!nodes[5].l1.contains(a), "remote L1 invalidated");
         assert!(nodes[0].l2.contains(a), "writer keeps its copy");
@@ -451,7 +447,7 @@ mod tests {
         let (mut p, mut nodes, map) = setup();
         let a = remote_addr(&map, 0);
         nodes[0].l2.fill(a, false);
-        p.retire_shared_write(&mut nodes, 0, &entry_for(&map, a), 0, u64::MAX);
+        p.retire_shared_write(&mut nodes, 0, &entry_for(&map, a), 0);
         // Node 2 reads: owner is node 0 -> forward.
         let r = p.read_remote(&mut nodes, 2, a, 1000);
         assert_eq!(r.kind, ReadKind::Forwarded);
@@ -466,7 +462,7 @@ mod tests {
         let (mut p, mut nodes, map) = setup();
         let a = remote_addr(&map, 0);
         nodes[0].l2.fill(a, false);
-        p.retire_shared_write(&mut nodes, 0, &entry_for(&map, a), 0, u64::MAX);
+        p.retire_shared_write(&mut nodes, 0, &entry_for(&map, a), 0);
         let block = map.block_of(a);
         let home = map.home_of(a);
         p.evicted_l2_helper(&mut nodes, 0, block, true, 2000);

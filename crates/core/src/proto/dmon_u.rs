@@ -117,7 +117,6 @@ impl Protocol for DmonU {
         node: usize,
         entry: &WriteEntry,
         t: Time,
-        sharers: u64,
     ) -> Time {
         self.counters.updates += 1;
         let home = self.map.home_of(entry.addr);
@@ -128,7 +127,7 @@ impl Protocol for DmonU {
         let sent = self.ch.bcast[node % 2].acquire(granted, xfer) + xfer;
         let seen = sent + self.ch.fabric.broadcast_latency(node);
         self.ch.links.broadcast(&self.ch.fabric, node);
-        apply_update_to_peers(nodes, node, entry.addr, &mut self.counters, sharers);
+        apply_update_to_peers(nodes, node, entry.addr, &mut self.counters);
         let (_applied, ack_ready) = nodes[home].mem.apply_update(seen, entry.words());
         // Ack: reservation, then a one-cycle message on the home channel.
         let granted2 = self.ch.reserve(home, ack_ready);
@@ -208,7 +207,7 @@ mod tests {
             shared: true,
         };
         let t = 500;
-        let ack = p.retire_shared_write(&mut nodes, 0, &entry, t, u64::MAX);
+        let ack = p.retire_shared_write(&mut nodes, 0, &entry, t);
         let expect = latency::total(&latency::dmon_u_update(&SysConfig::base(Arch::DmonU)));
         let lat = (ack - t) as i64;
         assert!((lat - expect as i64).abs() <= 17, "lat {lat} vs {expect}");
@@ -238,7 +237,7 @@ mod tests {
         // once per 16-cycle frame — DMON's signature arbitration cost,
         // absent in LambdaNet.
         let mut acks: Vec<Time> = (0..8)
-            .map(|n| p.retire_shared_write(&mut nodes, n, &mk(a + 64 * n as u64), 0, u64::MAX))
+            .map(|n| p.retire_shared_write(&mut nodes, n, &mk(a + 64 * n as u64), 0))
             .collect();
         acks.sort_unstable();
         // All distinct completion times, spread by the TDMA frame.

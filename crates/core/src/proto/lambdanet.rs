@@ -78,7 +78,6 @@ impl Protocol for LambdaNet {
         node: usize,
         entry: &WriteEntry,
         t: Time,
-        sharers: u64,
     ) -> Time {
         self.counters.updates += 1;
         let home = self.map.home_of(entry.addr);
@@ -89,7 +88,7 @@ impl Protocol for LambdaNet {
         let sent = self.channels[node].acquire(ready, xfer) + xfer;
         let seen = sent + self.fabric.broadcast_latency(node);
         self.links.broadcast(&self.fabric, node);
-        apply_update_to_peers(nodes, node, entry.addr, &mut self.counters, sharers);
+        apply_update_to_peers(nodes, node, entry.addr, &mut self.counters);
         let (_applied, ack_ready) = nodes[home].mem.apply_update(seen, entry.words());
         // Ack on the home's own channel.
         let ack = self.channels[home].acquire(ack_ready, self.msg) + self.msg;
@@ -184,7 +183,7 @@ mod tests {
             shared: true,
         };
         let t = 123;
-        let ack = p.retire_shared_write(&mut nodes, 0, &entry, t, u64::MAX);
+        let ack = p.retire_shared_write(&mut nodes, 0, &entry, t);
         let expect = latency::total(&latency::lambdanet_update(&SysConfig::base(
             Arch::LambdaNet,
         )));
@@ -210,7 +209,7 @@ mod tests {
                 mask: 0xFF,
                 shared: true,
             };
-            acks.push(p.retire_shared_write(&mut nodes, n, &entry, 0, u64::MAX));
+            acks.push(p.retire_shared_write(&mut nodes, n, &entry, 0));
         }
         // The first few acks come back almost immediately (no channel
         // contention); only memory hysteresis delays the tail.
@@ -230,7 +229,7 @@ mod tests {
             mask: 0xFFFF,
             shared: true,
         };
-        p.retire_shared_write(&mut nodes, 0, &entry, 0, u64::MAX);
+        p.retire_shared_write(&mut nodes, 0, &entry, 0);
         let r = p.read_remote(&mut nodes, 0, a + 64, 0);
         let expect_free =
             latency::total(&latency::lambdanet_miss(&SysConfig::base(Arch::LambdaNet))) - 5;

@@ -100,12 +100,15 @@ pub struct ProtoCounters {
 ///
 /// **Elision contract.** The machine retires compute, reads that hit the
 /// node's own L1/L2/write buffer, and non-stalling write-buffer pushes
-/// inline, without consulting the protocol. That is sound because every
-/// protocol applies a peer's coherence actions (update refreshes,
-/// invalidations, forwards) to this node's caches from the *peer's*
-/// event, consults its own state (ring, directory) only on misses and on
-/// event-scheduled write retirement, and charges no network cost for a
-/// push. A protocol that needs to see private hits would break it.
+/// in one place (`ElideEnv::apply` in [`crate::machine`]) without
+/// consulting the protocol, and may retire a run of them inside one
+/// event. That is sound because every protocol applies a peer's
+/// coherence actions (update refreshes, invalidations, forwards) to
+/// this node's caches from the *peer's* event, consults its own state
+/// (ring, directory) only on misses and on event-scheduled write
+/// retirement, and charges no network cost for a push. A protocol that
+/// needs to see private hits would break it. The protocol is told of
+/// no private fill either: an update walks every peer's caches.
 pub trait Protocol {
     /// Architecture this protocol implements.
     fn arch(&self) -> Arch;
@@ -119,17 +122,12 @@ pub trait Protocol {
     /// `t`. Applies all coherence side effects to the other nodes and
     /// returns the time the home's acknowledgement reaches `node` (the
     /// next update may be issued then).
-    /// `sharers` is an exact-negative hint: the set of nodes (bit per
-    /// node) that may hold the entry's block in a private cache — see
-    /// [`crate::sharers::SharerMap`]. Passing `u64::MAX` (every node a
-    /// candidate) is always correct.
     fn retire_shared_write(
         &mut self,
         nodes: &mut [Node],
         node: usize,
         entry: &WriteEntry,
         t: Time,
-        sharers: u64,
     ) -> Time;
 
     /// Broadcasts a synchronization message (lock or barrier transaction)
@@ -173,19 +171,11 @@ pub(crate) fn apply_update_to_peers(
     writer: usize,
     addr: Addr,
     counters: &mut ProtoCounters,
-    sharers: u64,
 ) {
-    // Walk only plausible sharers (exact-negative filter: a clear bit
-    // proves the peer holds nothing, so skipping it changes no state and
-    // no counter).
-    let mut m = sharers & !(1u64 << writer);
-    while m != 0 {
-        let i = m.trailing_zeros() as usize;
-        m &= m - 1;
-        if i >= nodes.len() {
-            break;
+    for (i, n) in nodes.iter_mut().enumerate() {
+        if i == writer {
+            continue;
         }
-        let n = &mut nodes[i];
         if n.l2.write_update(addr, false) {
             counters.remote_l2_refreshes += 1;
         }

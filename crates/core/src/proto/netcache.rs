@@ -180,7 +180,6 @@ impl Protocol for NetCacheProto {
         node: usize,
         entry: &WriteEntry,
         t: Time,
-        sharers: u64,
     ) -> Time {
         self.counters.updates += 1;
         let home = self.map.home_of(entry.addr);
@@ -193,8 +192,8 @@ impl Protocol for NetCacheProto {
         let sent = self.coherence[ch].acquire(slot_owner, ready, xfer) + xfer;
         let seen = sent + self.fabric.broadcast_latency(node);
         self.links.broadcast(&self.fabric, node);
-        // All sharers refresh L2 copies / invalidate L1 copies.
-        apply_update_to_peers(nodes, node, entry.addr, &mut self.counters, sharers);
+        // Every peer refreshes its L2 copy / invalidates its L1 copy.
+        apply_update_to_peers(nodes, node, entry.addr, &mut self.counters);
         // Home: memory FIFO queue (hysteresis ack) + circulating copy
         // (on the home cluster's ring).
         let (_applied, ack_ready) = nodes[home].mem.apply_update(seen, entry.words());
@@ -355,7 +354,7 @@ mod tests {
             shared: true,
         };
         let t = 500;
-        let ack = p.retire_shared_write(&mut nodes, 0, &entry, t, u64::MAX);
+        let ack = p.retire_shared_write(&mut nodes, 0, &entry, t);
         let expect = latency::total(&latency::netcache_update(&SysConfig::base(Arch::NetCache)));
         let lat = ack - t;
         // TDMA waits are 0..16 each instead of the 8 average.
@@ -378,7 +377,7 @@ mod tests {
             mask: 1,
             shared: true,
         };
-        p.retire_shared_write(&mut nodes, 0, &entry, 0, u64::MAX);
+        p.retire_shared_write(&mut nodes, 0, &entry, 0);
         assert!(nodes[3].l2.contains(a), "L2 refreshed in place");
         assert!(!nodes[3].l1.contains(a), "L1 invalidated");
         assert_eq!(p.counters().remote_l2_refreshes, 1);
@@ -397,7 +396,7 @@ mod tests {
             mask: 1,
             shared: true,
         };
-        let ack = p.retire_shared_write(&mut nodes, 1, &entry, t, u64::MAX);
+        let ack = p.retire_shared_write(&mut nodes, 1, &entry, t);
         // Read right after the update: must wait out ~2 roundtrips.
         let r2 = p.read_remote(&mut nodes, 2, a, ack);
         assert_eq!(r2.kind, ReadKind::SharedHit);

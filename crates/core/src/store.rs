@@ -73,8 +73,10 @@ use crate::sweep::SweepPoint;
 /// records are treated as invalidated misses and recomputed.
 ///
 /// History: 1 → 2 with the topology refactor (records gained the
-/// per-link `links` section and keys gained the topology axes).
-pub const ENGINE_SALT: u64 = 2;
+/// per-link `links` section and keys gained the topology axes); 2 → 3
+/// when set-associative private caches began retiring read hits in
+/// elided runs (`elided_ops` rose; digests did not move).
+pub const ENGINE_SALT: u64 = 3;
 
 /// On-disk record layout version (the `"netcache_store"` field). Bump
 /// on incompatible layout changes; old-version records are misses.
@@ -855,7 +857,7 @@ mod tests {
                 SysConfig::base(Arch::NetCache),
                 AppId::Gauss,
                 0.1,
-                0x080e_fd98_3250_7831,
+                0x5288_1daf_8368_839c,
             ),
             (
                 SysConfig::base(Arch::NetCache)
@@ -863,7 +865,7 @@ mod tests {
                     .with_rings(2),
                 AppId::Sor,
                 0.1,
-                0xedaa_0c01_5976_a60f,
+                0x6388_e83d_675c_aaaa,
             ),
             (
                 SysConfig::base(Arch::NetCache)
@@ -871,7 +873,7 @@ mod tests {
                     .with_topology(crate::config::TopoKind::StarOfRings),
                 AppId::Fft,
                 0.02,
-                0xf537_ff72_89d9_908b,
+                0xd0a9_bef1_c740_8aae,
             ),
         ];
         for (cfg, app, scale, want) in cells {

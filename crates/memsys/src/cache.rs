@@ -54,15 +54,6 @@ pub struct Evicted {
     pub dirty: bool,
 }
 
-/// Result of a read probe.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ReadOutcome {
-    /// Block present.
-    Hit,
-    /// Block absent; caller must fetch and then call [`Cache::fill`].
-    Miss,
-}
-
 /// Tag of a way that holds no block. Block numbers are byte addresses
 /// shifted right by the block size, so no real block reaches it.
 const INVALID: BlockAddr = BlockAddr::MAX;
@@ -90,9 +81,6 @@ pub struct Cache {
     stamps: Vec<u64>,
     dirty: Vec<bool>,
     clock: u64,
-    // statistics
-    hits: u64,
-    misses: u64,
 }
 
 impl Cache {
@@ -121,8 +109,6 @@ impl Cache {
             stamps: vec![0; lines],
             dirty: vec![false; lines],
             clock: 0,
-            hits: 0,
-            misses: 0,
         }
     }
 
@@ -179,29 +165,11 @@ impl Cache {
         }
     }
 
-    /// Read access: updates LRU and hit/miss counters.
-    #[inline]
-    pub fn read(&mut self, a: Addr) -> ReadOutcome {
-        self.clock += 1;
-        match self.find(self.block_of(a)) {
-            Some(i) => {
-                self.touch(i);
-                self.hits += 1;
-                ReadOutcome::Hit
-            }
-            None => {
-                self.misses += 1;
-                ReadOutcome::Miss
-            }
-        }
-    }
-
-    /// Hit-only read probe: on a hit, performs exactly the state changes
-    /// of [`Cache::read`] (LRU clock tick, stamp refresh, hit counter);
-    /// on a miss, touches *nothing* — no miss count, no clock tick. The
-    /// engine's elided fast path probes with this and bails out on a miss
-    /// with the cache bit-identical to never having probed, leaving the
-    /// canonical miss sequence to the slow path's `read()`.
+    /// The read probe: on a hit, ticks the LRU clock and refreshes the
+    /// line's stamp; on a miss, touches *nothing*, and the caller fetches
+    /// the block and calls [`Cache::fill`]. A miss needs no tick of its
+    /// own: every stamp write follows a tick, so stamps stay in access
+    /// order however many ticks a miss would have added.
     #[inline]
     pub fn read_hit(&mut self, a: Addr) -> bool {
         self.read_hit_run(a, 1)
@@ -210,8 +178,8 @@ impl Cache {
     /// Block-granular read-hit probe: the batched form of `n` consecutive
     /// [`Cache::read_hit`] calls to the same block. One tag probe; on a
     /// hit, performs the aggregate state change of the `n` scalar probes
-    /// (clock advanced by `n`, stamp refreshed to the final clock, `n`
-    /// hits) and returns true; on a miss, touches nothing. The engine's
+    /// (clock advanced by `n`, stamp refreshed to the final clock) and
+    /// returns true; on a miss, touches nothing. The engine's
     /// run-elision path retires a strided read run with one such probe per
     /// distinct block instead of one probe per element.
     #[inline]
@@ -222,7 +190,6 @@ impl Cache {
         if n > 0 {
             self.clock += n;
             self.touch(i);
-            self.hits += n;
         }
         true
     }
@@ -242,7 +209,7 @@ impl Cache {
         true
     }
 
-    /// Non-destructive presence check (no LRU or counter update).
+    /// Non-destructive presence check (no LRU update).
     #[inline]
     pub fn contains(&self, a: Addr) -> bool {
         self.find(self.block_of(a)).is_some()
@@ -318,26 +285,6 @@ impl Cache {
         self.tags.fill(INVALID);
     }
 
-    /// Read hits so far.
-    pub fn hits(&self) -> u64 {
-        self.hits
-    }
-
-    /// Read misses so far.
-    pub fn misses(&self) -> u64 {
-        self.misses
-    }
-
-    /// Hit rate over all reads (0.0 if no reads).
-    pub fn hit_rate(&self) -> f64 {
-        let total = self.hits + self.misses;
-        if total == 0 {
-            0.0
-        } else {
-            self.hits as f64 / total as f64
-        }
-    }
-
     /// Number of currently valid lines.
     pub fn valid_lines(&self) -> usize {
         self.tags.iter().filter(|&&t| t != INVALID).count()
@@ -357,13 +304,11 @@ mod tests {
     #[test]
     fn cold_miss_then_hit() {
         let mut c = dm_cache();
-        assert_eq!(c.read(0), ReadOutcome::Miss);
+        assert!(!c.read_hit(0));
         c.fill(0, false);
-        assert_eq!(c.read(0), ReadOutcome::Hit);
-        assert_eq!(c.read(63), ReadOutcome::Hit, "same block");
-        assert_eq!(c.read(64), ReadOutcome::Miss, "next block");
-        assert_eq!(c.hits(), 2);
-        assert_eq!(c.misses(), 2);
+        assert!(c.read_hit(0));
+        assert!(c.read_hit(63), "same block");
+        assert!(!c.read_hit(64), "next block");
     }
 
     #[test]
@@ -399,7 +344,7 @@ mod tests {
         // Blocks 0, 2, 4 all map to set 0 (block % 2 == 0).
         c.fill(0, false);
         c.fill(2 * 64, false);
-        assert_eq!(c.read(0), ReadOutcome::Hit); // 0 now MRU
+        assert!(c.read_hit(0)); // 0 now MRU
         let ev = c.fill(4 * 64, false).unwrap();
         assert_eq!(ev.block, 2, "LRU way (block 2) evicted");
         assert!(c.contains(0));
@@ -462,22 +407,22 @@ mod tests {
     }
 
     #[test]
-    fn read_hit_probe_matches_read_on_hits_and_is_pure_on_misses() {
-        let mut probed = dm_cache();
-        let mut read = dm_cache();
-        probed.fill(0, false);
-        read.fill(0, false);
-        // Hit: identical state changes to read().
-        assert!(probed.read_hit(32));
-        assert_eq!(read.read(32), ReadOutcome::Hit);
-        assert_eq!(probed.hits(), read.hits());
-        // Miss: read_hit touches nothing (no miss count, no clock tick),
-        // so the later canonical read() sees a never-probed cache.
-        assert!(!probed.read_hit(256));
-        assert_eq!(probed.misses(), 0);
-        assert_eq!(read.read(256), ReadOutcome::Miss);
-        probed.read(256);
-        assert_eq!(probed.misses(), read.misses());
+    fn read_hit_probe_is_pure_on_misses() {
+        // 1 set x 2 ways: block 0 and block 1 compete for the victim.
+        let mut c = Cache::new(CacheCfg {
+            size_bytes: 128,
+            block_bytes: 64,
+            assoc: 2,
+        });
+        c.fill(0, false);
+        c.fill(64, false);
+        let before = c.clone();
+        // A miss touches nothing: no tick, no stamp.
+        assert!(!c.read_hit(128));
+        assert_eq!((c.clock, &c.stamps), (before.clock, &before.stamps));
+        // A hit refreshes the stamp, so block 1 becomes the victim.
+        assert!(c.read_hit(0));
+        assert_eq!(c.fill(128, false).unwrap().block, 1);
     }
 
     #[test]
@@ -490,10 +435,10 @@ mod tests {
         for _ in 0..3 {
             assert!(scalar.read_hit(4));
         }
-        assert_eq!(run.hits(), scalar.hits());
+        assert_eq!(run.clock, scalar.clock);
         // Miss: pure, like read_hit.
         assert!(!run.read_hit_run(256, 5));
-        assert_eq!(run.misses(), 0);
+        assert_eq!(run.clock, scalar.clock);
         // write_update_run merges dirtiness like n scalar updates and
         // leaves the same eviction candidate behind.
         assert!(run.write_update_run(32, 2, true));
@@ -533,8 +478,6 @@ mod tests {
         shift: u32,
         lines: Vec<Line>,
         clock: u64,
-        hits: u64,
-        misses: u64,
     }
 
     impl Model {
@@ -550,8 +493,6 @@ mod tests {
                 shift: cfg.block_bytes.trailing_zeros(),
                 lines: vec![Line::default(); cfg.lines()],
                 clock: 0,
-                hits: 0,
-                misses: 0,
             }
         }
 
@@ -566,21 +507,6 @@ mod tests {
             (b, range, hit)
         }
 
-        fn read(&mut self, a: Addr) -> ReadOutcome {
-            self.clock += 1;
-            match self.probe(a).2 {
-                Some(i) => {
-                    self.lines[i].stamp = self.clock;
-                    self.hits += 1;
-                    ReadOutcome::Hit
-                }
-                None => {
-                    self.misses += 1;
-                    ReadOutcome::Miss
-                }
-            }
-        }
-
         fn read_hit_run(&mut self, a: Addr, n: u64) -> bool {
             let Some(i) = self.probe(a).2 else {
                 return false;
@@ -589,7 +515,6 @@ mod tests {
             if n > 0 {
                 self.lines[i].stamp = self.clock;
             }
-            self.hits += n;
             true
         }
 
@@ -689,8 +614,7 @@ mod tests {
                 let dirty = rng.below(2) == 0;
                 let n = rng.below(4);
                 match rng.below(10) {
-                    0 | 1 => assert_eq!(c.read(a), m.read(a), "read, {cfg:?} step {step}"),
-                    2 => assert_eq!(c.read_hit(a), m.read_hit_run(a, 1), "step {step}"),
+                    0..=2 => assert_eq!(c.read_hit(a), m.read_hit_run(a, 1), "step {step}"),
                     3 => assert_eq!(c.read_hit_run(a, n), m.read_hit_run(a, n), "step {step}"),
                     4 => assert_eq!(c.write_update(a, dirty), m.write_update_run(a, 1, dirty)),
                     5 => assert_eq!(
@@ -702,8 +626,7 @@ mod tests {
                     _ => assert_eq!(c.clean(a), m.clean(a), "step {step}"),
                 }
                 assert_eq!(c.contains(a), m.probe(a).2.is_some(), "step {step}");
-                assert_eq!(c.hits(), m.hits, "hits, {cfg:?} step {step}");
-                assert_eq!(c.misses(), m.misses, "misses, {cfg:?} step {step}");
+                assert_eq!(c.clock, m.clock, "clock, {cfg:?} step {step}");
             }
             let valid = m.lines.iter().filter(|l| l.valid).count();
             assert_eq!(c.valid_lines(), valid, "{cfg:?}");

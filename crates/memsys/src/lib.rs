@@ -22,6 +22,6 @@ pub mod memory;
 pub mod wbuf;
 
 pub use addr::{Addr, AddressMap, BlockAddr, NodeId, WordIdx};
-pub use cache::{Cache, CacheCfg, Evicted, ReadOutcome};
+pub use cache::{Cache, CacheCfg, Evicted};
 pub use memory::{MemoryCfg, MemoryModule};
 pub use wbuf::{CoalescingWriteBuffer, PushOutcome, WriteEntry};

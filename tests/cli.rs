@@ -248,9 +248,8 @@ fn indivisible_procs_exits_two_naming_the_flag() {
     }
 }
 
-/// Sharer sets are one `u64` bit per node, so a machine of more than 64
-/// nodes would silently drop update refreshes to nodes 64 and up. Every
-/// command that builds a machine rejects it by name (exit 2).
+/// Machines of more than 64 nodes are not validated. Every command that
+/// builds one rejects it by name (exit 2).
 #[test]
 fn more_than_64_procs_exits_two_naming_the_flag() {
     for cmd in [

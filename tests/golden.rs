@@ -98,6 +98,24 @@ const GOLDEN_TOPO: &[(Arch, AppId, usize, u32, TopoKind, usize, u64)] = &[
     (Arch::DmonI, AppId::Gauss, 64, 50, TopoKind::StarOfRings, 1, 0x478b49346dea42d2),
 ];
 
+/// Set-associative private-cache cells:
+/// `(arch, app, nodes, scale-per-mille, l1 ways, l2 ways, digest)`, with
+/// `0` ways meaning fully associative. The base grid's direct-mapped
+/// caches never consult an LRU stamp; these cells pin the replacement
+/// order the engine's hit probes produce when a set has a choice.
+/// Regenerate with `--ignored --nocapture regen_assoc`.
+#[rustfmt::skip]
+const GOLDEN_ASSOC: &[(Arch, AppId, usize, u32, usize, usize, u64)] = &[
+    (Arch::NetCache, AppId::Mg, 4, 20, 2, 4, 0x356d9317b371119e),
+    (Arch::LambdaNet, AppId::Fft, 4, 20, 2, 4, 0x6413acfcdede7c92),
+    (Arch::DmonU, AppId::Gauss, 4, 20, 2, 4, 0x85102b4f9a4287b5),
+    (Arch::DmonI, AppId::Radix, 4, 20, 2, 4, 0x49e609efeea66e09),
+    (Arch::NetCache, AppId::Lu, 4, 20, 0, 8, 0xc8cf362966ae49d9),
+    (Arch::LambdaNet, AppId::Ocean, 4, 20, 0, 8, 0xe962c455a4703367),
+    (Arch::DmonU, AppId::Water, 4, 20, 0, 8, 0x34ec82a5adc72f11),
+    (Arch::DmonI, AppId::Cg, 4, 20, 0, 8, 0xdb2330099bdcad87),
+];
+
 fn report_cell(arch: Arch, app: AppId, nodes: usize, scale_pm: u32) -> netcache::RunReport {
     let cfg = SysConfig::base(arch).with_nodes(nodes);
     let wl = Workload::new(app, nodes).scale(scale_pm as f64 / 1000.0);
@@ -111,6 +129,14 @@ fn topo_cfg(arch: Arch, nodes: usize, kind: TopoKind, rings: usize) -> SysConfig
         .with_rings(rings);
     cfg.validate().expect("golden topology cell must be valid");
     cfg
+}
+
+fn assoc_digest(arch: Arch, app: AppId, nodes: usize, scale_pm: u32, l1: usize, l2: usize) -> u64 {
+    let mut cfg = SysConfig::base(arch).with_nodes(nodes);
+    cfg.l1.assoc = l1;
+    cfg.l2.assoc = l2;
+    let wl = Workload::new(app, nodes).scale(scale_pm as f64 / 1000.0);
+    run_app(&cfg, &wl).digest()
 }
 
 fn digest_cell(arch: Arch, app: AppId, nodes: usize, scale_pm: u32) -> u64 {
@@ -184,6 +210,31 @@ fn golden_topology_cells_reproduce_bit_for_bit() {
     );
 }
 
+#[test]
+fn golden_assoc_cells_reproduce_bit_for_bit() {
+    let mut bad = Vec::new();
+    for &(arch, app, nodes, scale_pm, l1, l2, want) in GOLDEN_ASSOC {
+        let got = assoc_digest(arch, app, nodes, scale_pm, l1, l2);
+        if got != want {
+            bad.push(format!(
+                "{:?}/{}/n{}/l1x{}/l2x{}: expected {:#018x}, got {:#018x}",
+                arch,
+                app.name(),
+                nodes,
+                l1,
+                l2,
+                want,
+                got
+            ));
+        }
+    }
+    assert!(
+        bad.is_empty(),
+        "golden set-associative digests diverged:\n{}",
+        bad.join("\n")
+    );
+}
+
 /// Prints the table body with fresh digests. Run with `--ignored` after an
 /// *intentional* model change, and paste the output over `GOLDEN`.
 #[test]
@@ -209,6 +260,19 @@ fn regen_topo() {
         println!(
             "    (Arch::{:?}, AppId::{:?}, {}, {}, TopoKind::{:?}, {}, {:#018x}),",
             arch, app, nodes, scale_pm, kind, rings, d
+        );
+    }
+}
+
+/// [`regen`] for the set-associative cells: prints `GOLDEN_ASSOC` rows.
+#[test]
+#[ignore]
+fn regen_assoc() {
+    for &(arch, app, nodes, scale_pm, l1, l2, _) in GOLDEN_ASSOC {
+        let d = assoc_digest(arch, app, nodes, scale_pm, l1, l2);
+        println!(
+            "    (Arch::{:?}, AppId::{:?}, {}, {}, {}, {}, {:#018x}),",
+            arch, app, nodes, scale_pm, l1, l2, d
         );
     }
 }

@@ -10,7 +10,7 @@
 
 use netcache::apps::{Op, OpStream};
 use netcache::mem::addr::SHARED_BASE;
-use netcache::mem::{Cache, CacheCfg, CoalescingWriteBuffer, ReadOutcome};
+use netcache::mem::{Cache, CacheCfg, CoalescingWriteBuffer};
 use netcache::sim::Xoshiro256StarStar;
 use netcache::sim::{EventQueue, FifoServer, SlottedServer};
 use netcache::{run_streams, Arch, EngineScratch, RingCache, RingConfig, RingLookup, SysConfig};
@@ -149,7 +149,7 @@ fn cache_matches_reference_model() {
             let resident = sets[set].contains(&block);
             assert_eq!(c.contains(a), resident, "block {}", block);
             if is_fill {
-                if c.read(a) == ReadOutcome::Miss {
+                if !c.read_hit(a) {
                     c.fill(a, false);
                     if resident {
                         unreachable!();
